@@ -55,6 +55,8 @@ mod pixel_ilt;
 mod pvopc;
 mod robust;
 mod rule_opc;
+#[cfg(test)]
+mod test_support;
 
 pub use engine::{BaselineError, BaselineResult, MaskOptimizer};
 pub use pixel_ilt::{PixelIlt, PixelIltMode};

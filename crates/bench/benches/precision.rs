@@ -1,7 +1,7 @@
-//! Precision throughput: f64 vs f32 vs mixed forward/adjoint passes.
+//! Precision throughput: f64 vs f32 forward/adjoint passes.
 //!
 //! Measures aerial-image and gradient wall time at the paper's
-//! 1024² / K = 24 configuration for the three CLI precisions, every
+//! 1024² / K = 24 configuration for the two CLI precisions, every
 //! pass on the same single-lane [`ParallelContext`] so the comparison
 //! is pure arithmetic cost, and writes a `BENCH_precision.json`
 //! summary to the workspace root next to the parallel-scaling numbers.
@@ -13,7 +13,7 @@
 //! smoke configuration once and writes no JSON.
 
 use lsopc_grid::Grid;
-use lsopc_litho::{AcceleratedBackend, MixedBackend, SimBackend};
+use lsopc_litho::{AcceleratedBackend, SimBackend};
 use lsopc_optics::OpticsConfig;
 use lsopc_parallel::ParallelContext;
 use std::time::Instant;
@@ -84,8 +84,7 @@ fn measure(cfg: &Config) -> Vec<Row> {
     let m32 = m.map(|&v| v as f32);
     let z = sensitivity(cfg.n);
     let z32 = z.map(|&v| v as f32);
-    let acc = AcceleratedBackend::with_context(ctx.clone());
-    let mixed = MixedBackend::with_context(ctx);
+    let acc = AcceleratedBackend::with_context(ctx);
 
     let ref_aerial: Grid<f64> = acc.aerial_image(&ks, &m);
     let ref_gradient: Grid<f64> = acc.gradient(&ks, &m, &z);
@@ -123,22 +122,6 @@ fn measure(cfg: &Config) -> Vec<Row> {
         max_gradient_dev: max_dev(&gradient32.map(|&v| v as f64), &ref_gradient),
     });
 
-    let aerial_mx = mixed.aerial_image(&ks, &m);
-    let gradient_mx = mixed.gradient(&ks, &m, &z);
-    rows.push(Row {
-        precision: "mixed",
-        aerial_s: time_best(cfg.samples, || {
-            let img = mixed.aerial_image(&ks, &m);
-            assert!(img.sum() > 0.0);
-        }),
-        gradient_s: time_best(cfg.samples, || {
-            let g = mixed.gradient(&ks, &m, &z);
-            assert!(g.as_slice().iter().any(|&v| v != 0.0));
-        }),
-        max_aerial_dev: max_dev(&aerial_mx, &ref_aerial),
-        max_gradient_dev: max_dev(&gradient_mx, &ref_gradient),
-    });
-
     rows
 }
 
@@ -165,9 +148,7 @@ fn write_json(cfg: &Config, rows: &[Row]) {
         "speedups are relative to the f64 row on one lane; ",
         "max_*_dev is the measured max |delta| vs the f64 backend on the ",
         "same mask (aerial intensity is O(1), gradient O(0.01)). ",
-        "mixed is slower than f64 on CPU: it pays f32 transforms plus a ",
-        "per-kernel f64 widening/accumulation pass; the pattern models GPU ",
-        "master weights, where the f32 math is nearly free. ",
+        "Both rows run the one production transform path (real-input FFT). ",
         "See DESIGN.md section 11 for the precision model."
     );
     let json = format!(
@@ -198,7 +179,7 @@ fn main() {
         Config {
             n: 1024,
             k: 24,
-            samples: 2,
+            samples: 5,
         }
     };
     let rows = measure(&cfg);

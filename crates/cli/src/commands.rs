@@ -6,7 +6,7 @@
 //! [`crate::spec`]), submits it, and prints the same lines the
 //! pre-engine CLI printed.
 
-use crate::args::Flags;
+use crate::args::{self, CommandSpec, Flags, COMMANDS};
 use crate::error::CliError;
 use crate::spec::{self, SpecDefaults};
 use lsopc_benchsuite::Iccad2013Suite;
@@ -21,38 +21,18 @@ use lsopc_trace::{FanoutSink, JsonlSink, MemorySink, TraceSink};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Top-level usage text.
-pub const USAGE: &str = "\
-lsopc — level-set inverse lithography mask optimization
+/// Top-level usage text: every subcommand's synopsis (from its flag
+/// table in [`crate::args`]) followed by [`NOTES`].
+pub fn usage() -> String {
+    let synopses: Vec<&str> = COMMANDS.iter().map(|c| c.synopsis).collect();
+    format!(
+        "lsopc — level-set inverse lithography mask optimization\n\nUSAGE:\n{}\n  lsopc help\n  lsopc <command> --help\n\n{NOTES}",
+        synopses.join("\n")
+    )
+}
 
-USAGE:
-  lsopc optimize --glp <design.glp> --out <mask.glp>
-                 [--grid 512] [--iters 30] [--kernels 24] [--pvb-weight 1.0]
-                 [--threads N] [--recover on|off|strict]
-                 [--precision f64|f32|mixed] [--rfft on|off]
-                 [--schedule auto|off|CPX,K,CI,FI]
-                 [--tile N] [--halo N] [--warm-start mem|<dir>] [--warm-iters N]
-                 [--deadline SECS] [--max-wall SECS] [--iter-budget N]
-                 [--checkpoint <path>] [--checkpoint-every N] [--resume <path>]
-                 [--trace <out.jsonl>] [--metrics <out.json>]
-  lsopc evaluate --glp <design.glp> --mask <mask.glp>
-                 [--grid 512] [--kernels 24] [--threads N]
-  lsopc report   --glp <design.glp> --mask <mask.glp>
-                 [--grid 512] [--kernels 24] [--min-width-nm 40] [--min-space-nm 40]
-                 [--threads N]
-  lsopc suite    [--cases 1,2,...] [--grid 256] [--iters 20] [--kernels 24]
-                 [--threads N] [--recover on|off|strict]
-                 [--precision f64|f32|mixed] [--rfft on|off]
-                 [--schedule auto|off|CPX,K,CI,FI]
-                 [--deadline SECS] [--max-wall SECS]
-                 [--trace <out.jsonl>] [--metrics <out.json>]
-  lsopc profile  [--pattern wire|dense|contacts] [--grid 256] [--iters 10]
-                 [--kernels 24] [--threads N] [--recover on|off|strict]
-                 [--rfft on|off] [--json]
-                 [--trace <out.jsonl>] [--metrics <out.json>]
-  lsopc analyze  <trace.jsonl>
-  lsopc help
-
+/// What the flags do, and the exit codes.
+const NOTES: &str = "\
 The field is 2048nm; --grid sets the pixels per side (power of two).
 --threads sizes the shared worker pool (default: LSOPC_THREADS if set,
 otherwise the machine's available cores).
@@ -61,13 +41,8 @@ to the last healthy checkpoint and halves the step on numerical trouble,
 `strict` turns an exhausted guard into a hard error, `off` disables it.
 --precision picks the arithmetic for the optimization loop (default f64):
 `f32` runs fields and transforms in single precision (the paper's GPU
-arithmetic, reproduced on CPU), `mixed` runs f32 convolutions/spectra
-under f64 accumulation and optimizer state (the master-weights pattern).
-Scoring and reporting always run at f64 (see DESIGN.md §11).
---rfft on routes the backends' real-input transforms through the
-half-spectrum fast path (DESIGN.md §13); results deviate from the dense
-default only at round-off level. A bare --rfft means on; the default is
-off (or the LSOPC_RFFT environment variable when set).
+arithmetic, reproduced on CPU). Scoring and reporting always run at f64
+(see DESIGN.md §11).
 --schedule runs the early iterations on a coarse grid with a reduced
 kernel set, then upsamples ψ and refines at full resolution (DESIGN.md
 §14). `auto` (also a bare --schedule) derives the stages from the grid
@@ -116,6 +91,60 @@ EXIT CODES:
   0 success    2 usage    3 I/O    4 layout parse
   5 simulator setup    6 optimizer    7 strict recovery failure
   8 interrupted (SIGINT, best-so-far mask written)    9 checkpoint/resume";
+
+/// Writes command output to stdout. A closed pipe (`lsopc … | head -1`)
+/// ends the printing but not the command: the write is dropped, so the
+/// command still writes its files and returns its real outcome. Any
+/// other write failure is an I/O error instead of the panic `print!`
+/// would raise.
+fn out(text: &str) -> Result<(), CliError> {
+    use std::io::{ErrorKind, Write};
+    match std::io::stdout().lock().write_all(text.as_bytes()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            Err(CliError::io(format!("cannot write to stdout: {e}")))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// `println!` through [`out`]; returns early from the enclosing
+/// function on a failed write.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(&format!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
+/// Runs one subcommand. `lsopc <command> --help` prints that command's
+/// synopsis; otherwise the command parses its arguments against its flag
+/// table.
+pub fn dispatch(command: &str, rest: &[String]) -> CliResult {
+    let (spec, run): (&CommandSpec, fn(&[String]) -> CliResult) = match command {
+        "optimize" => (&args::OPTIMIZE, optimize),
+        "evaluate" => (&args::EVALUATE, evaluate),
+        "report" => (&args::REPORT, report),
+        "suite" => (&args::SUITE, suite),
+        "profile" => (&args::PROFILE, profile),
+        "analyze" => (&args::ANALYZE, analyze),
+        "help" | "--help" | "-h" => {
+            outln!("{}", usage());
+            return Ok(Outcome::Completed);
+        }
+        other => {
+            return Err(CliError::usage(format!(
+                "unknown command `{other}` (try `lsopc help`)"
+            )))
+        }
+    };
+    if args::wants_help(rest) {
+        outln!(
+            "USAGE:\n{}\n\nRun `lsopc help` for what each flag does and the exit codes.",
+            spec.synopsis
+        );
+        return Ok(Outcome::Completed);
+    }
+    run(rest)
+}
 
 /// How a successful command ended; decides the process exit code.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -220,7 +249,7 @@ fn load_layout(path: &str) -> Result<Layout, CliError> {
 
 /// `lsopc optimize`: design in, optimized mask out.
 pub fn optimize(args: &[String]) -> CliResult {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &args::OPTIMIZE)?;
     let session = CommandTrace::start(&flags)?;
     session.run(|| optimize_run(&flags))
 }
@@ -235,7 +264,6 @@ fn optimize_run(flags: &Flags) -> CliResult {
         SpecDefaults {
             grid: 512,
             iters: 30,
-            tiling: true,
         },
     )?;
     let control = spec::run_control_flags(flags)?;
@@ -243,7 +271,7 @@ fn optimize_run(flags: &Flags) -> CliResult {
     let design = load_layout(&glp_path)?;
     let engine = spec::engine_for(flags)?;
     let scorer = engine
-        .scorer(resolved.grid, resolved.kernels, resolved.rfft)
+        .scorer(resolved.grid, resolved.kernels, None)
         .map_err(CliError::from_engine)?;
     let (grid, pixel_nm) = (resolved.grid, lsopc_engine::pixel_nm(resolved.grid));
 
@@ -260,13 +288,13 @@ fn optimize_run(flags: &Flags) -> CliResult {
         JobDetail::Tiled { mask, stats } => {
             let runtime_s = outcome.runtime_s;
             if let Some(reason) = stats.stopped {
-                println!(
+                outln!(
                     "stopped: {reason} ({} of {} tiles unfinished; best-so-far mask kept)",
                     stats.unfinished,
                     stats.tiles + stats.unfinished
                 );
             }
-            println!(
+            outln!(
                 "done in {runtime_s:.2}s / {} tiles ({} cold, {} warm, {} resumed), \
                  {} full-res iterations (+{} coarse)",
                 stats.tiles,
@@ -293,13 +321,13 @@ fn optimize_run(flags: &Flags) -> CliResult {
                 );
             }
             if let Some(reason) = result.stopped {
-                println!(
+                outln!(
                     "stopped: {reason} (after {} iterations; best-so-far mask kept)",
                     result.iterations
                 );
             }
             match result.history.first() {
-                Some(first) => println!(
+                Some(first) => outln!(
                     "done in {:.2}s / {} iterations (cost {:.1} -> {:.1})",
                     result.runtime_s,
                     result.iterations,
@@ -308,7 +336,7 @@ fn optimize_run(flags: &Flags) -> CliResult {
                 ),
                 // A deadline/cancel can stop the run before any iteration
                 // completes; there is no cost pair to report.
-                None => println!(
+                None => outln!(
                     "done in {:.2}s / 0 iterations (no cost evaluated)",
                     result.runtime_s
                 ),
@@ -344,14 +372,14 @@ fn write_and_score_mask(
 
     let eval = scorer.evaluate(mask, design, target);
     let complexity = MaskComplexity::measure(mask);
-    println!(
+    outln!(
         "#EPE {}  PVB {:.0} nm²  shapes {}  score {:.0}",
         eval.epe.violations,
         eval.pvb_area_nm2,
         eval.shapes.total(),
         eval.score(runtime_s).value()
     );
-    println!(
+    outln!(
         "mask: {} polygons, jaggedness {:.2} -> {out_path}",
         mask_layout.len(),
         complexity.jaggedness
@@ -361,7 +389,7 @@ fn write_and_score_mask(
 
 /// `lsopc evaluate`: score an existing mask against a design.
 pub fn evaluate(args: &[String]) -> CliResult {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &args::EVALUATE)?;
     let design = load_layout(flags.require("glp")?)?;
     let mask_layout = load_layout(flags.require("mask")?)?;
     let (scorer, grid) = scorer_for(&flags, 512)?;
@@ -370,39 +398,38 @@ pub fn evaluate(args: &[String]) -> CliResult {
     let target = rasterize(&design, grid, grid, pixel_nm);
     let mask = rasterize(&mask_layout, grid, grid, pixel_nm);
     let eval = scorer.evaluate(&mask, &design, &target);
-    println!(
+    outln!(
         "#EPE {} / {} probes",
-        eval.epe.violations, eval.epe.total_probes
+        eval.epe.violations,
+        eval.epe.total_probes
     );
-    println!("PVB {:.0} nm²", eval.pvb_area_nm2);
-    println!(
+    outln!("PVB {:.0} nm²", eval.pvb_area_nm2);
+    outln!(
         "shape violations: {} (extra {}, missing {}, bridges {})",
         eval.shapes.total(),
         eval.shapes.extra,
         eval.shapes.missing,
         eval.shapes.bridges
     );
-    println!("score (without runtime): {:.0}", eval.score(0.0).value());
+    outln!("score (without runtime): {:.0}", eval.score(0.0).value());
     Ok(Outcome::Completed)
 }
 
 /// Builds the shared f64 scoring simulator for the read-only commands
-/// from `--grid`/`--kernels`/`--threads` (and `--rfft`, which scoring
-/// honors exactly as the optimizing commands do).
+/// from `--grid`/`--kernels`/`--threads`.
 fn scorer_for(flags: &Flags, default_grid: usize) -> Result<(Scorer, usize), CliError> {
     let grid: usize = flags.num("grid", default_grid)?;
     let kernels: usize = flags.num("kernels", 24)?;
-    let rfft = spec::rfft_flag(flags)?;
     let engine = spec::engine_for(flags)?;
     let scorer = engine
-        .scorer(grid, kernels, rfft)
+        .scorer(grid, kernels, None)
         .map_err(CliError::from_engine)?;
     Ok((scorer, grid))
 }
 
 /// `lsopc report`: full quality + manufacturability report for a mask.
 pub fn report(args: &[String]) -> CliResult {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &args::REPORT)?;
     let design = load_layout(flags.require("glp")?)?;
     let mask_layout = load_layout(flags.require("mask")?)?;
     let min_width_nm: f64 = flags.num("min-width-nm", 40.0)?;
@@ -420,16 +447,13 @@ pub fn report(args: &[String]) -> CliResult {
         (min_space_nm / pixel_nm).round().max(1.0) as usize,
     );
     let title = mask_layout.name.as_deref().unwrap_or("mask").to_string();
-    print!(
-        "{}",
-        render_report(&title, &eval, &complexity, Some(&mrc), 0.0)
-    );
+    out(&render_report(&title, &eval, &complexity, Some(&mrc), 0.0))?;
     Ok(Outcome::Completed)
 }
 
 /// `lsopc suite`: run the level-set method over the built-in benchmarks.
 pub fn suite(args: &[String]) -> CliResult {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &args::SUITE)?;
     let session = CommandTrace::start(&flags)?;
     session.run(|| suite_run(&flags))
 }
@@ -441,14 +465,13 @@ fn suite_run(flags: &Flags) -> CliResult {
         SpecDefaults {
             grid: 256,
             iters: 20,
-            tiling: false,
         },
     )?;
     let deadline_s = spec::secs_flag(flags, "deadline")?;
     let max_wall_s = spec::secs_flag(flags, "max-wall")?;
     let engine = spec::engine_for(flags)?;
     let scorer = engine
-        .scorer(resolved.grid, resolved.kernels, resolved.rfft)
+        .scorer(resolved.grid, resolved.kernels, None)
         .map_err(CliError::from_engine)?;
     let (grid, pixel_nm) = (resolved.grid, lsopc_engine::pixel_nm(resolved.grid));
 
@@ -463,9 +486,15 @@ fn suite_run(flags: &Flags) -> CliResult {
     let mut skipped = 0usize;
 
     let suite = Iccad2013Suite::new();
-    println!(
+    outln!(
         "{:<6}{:>12}{:>8}{:>12}{:>8}{:>10}{:>12}",
-        "case", "area(nm²)", "#EPE", "PVB(nm²)", "shape", "RT(s)", "score"
+        "case",
+        "area(nm²)",
+        "#EPE",
+        "PVB(nm²)",
+        "shape",
+        "RT(s)",
+        "score"
     );
     let mut total = 0.0;
     let mut ran = 0;
@@ -500,7 +529,7 @@ fn suite_run(flags: &Flags) -> CliResult {
         }
         let eval = scorer.evaluate(outcome.mask(), &layout, &target);
         let score = eval.score(outcome.runtime_s);
-        println!(
+        outln!(
             "{:<6}{:>12}{:>8}{:>12.0}{:>8}{:>10.1}{:>12.0}{}",
             case.name,
             case.target_area_nm2,
@@ -519,10 +548,10 @@ fn suite_run(flags: &Flags) -> CliResult {
         ran += 1;
     }
     if ran > 0 {
-        println!("{:<6}{:>62}{:>12.0}", "avg", "", total / ran as f64);
+        outln!("{:<6}{:>62}{:>12.0}", "avg", "", total / ran as f64);
     }
     if let Some(reason) = stopped {
-        println!(
+        outln!(
             "stopped: {reason}{}",
             if skipped > 0 {
                 format!(" ({skipped} case(s) skipped)")
@@ -564,7 +593,7 @@ fn synthetic_layout(pattern: &str) -> Result<Layout, CliError> {
 /// `lsopc profile`: optimize a built-in synthetic pattern under the
 /// in-memory aggregator and print the per-span self/total-time table.
 pub fn profile(args: &[String]) -> CliResult {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &args::PROFILE)?;
     let pattern = flags
         .get("pattern")
         .filter(|v| !v.is_empty())
@@ -575,7 +604,6 @@ pub fn profile(args: &[String]) -> CliResult {
         SpecDefaults {
             grid: 256,
             iters: 10,
-            tiling: false,
         },
     )?;
     let design = synthetic_layout(&pattern)?;
@@ -607,15 +635,15 @@ pub fn profile(args: &[String]) -> CliResult {
     if flags.get("json").is_some() {
         // Machine-readable mode: the same document --metrics writes,
         // on stdout, with no human header around it.
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
     } else {
-        println!(
+        outln!(
             "profile: pattern `{pattern}`, {grid} px, K = {}, {iterations} iterations, {} threads, {:.2}s",
             resolved.kernels,
             engine.pool_threads(),
             outcome.runtime_s
         );
-        print!("{}", report.render_text());
+        out(&report.render_text())?;
     }
     if let Some(path) = flags.get("metrics").filter(|v| !v.is_empty()) {
         std::fs::write(path, report.to_json())
@@ -629,13 +657,15 @@ pub fn profile(args: &[String]) -> CliResult {
 /// latency percentiles, cache hit ratios, counters, convergence and
 /// anomaly flags.
 pub fn analyze(args: &[String]) -> CliResult {
-    // One positional path, no flags (Flags::parse rejects positionals,
-    // so the path is taken before any flag machinery).
+    // One positional path and an empty flag table (Flags::parse rejects
+    // positionals, so the path is taken before any flag machinery).
     let [path] = args else {
         return Err(CliError::usage("usage: lsopc analyze <trace.jsonl>"));
     };
     if path.starts_with("--") {
-        return Err(CliError::usage("usage: lsopc analyze <trace.jsonl>"));
+        return Err(CliError::usage(format!(
+            "unknown flag {path} for `lsopc analyze` (usage: lsopc analyze <trace.jsonl>)"
+        )));
     }
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::io(format!("cannot read {path}: {e}")))?;
@@ -648,7 +678,7 @@ pub fn analyze(args: &[String]) -> CliResult {
             report.events + report.skipped
         );
     }
-    print!("{}", report.render_text());
+    out(&report.render_text())?;
     Ok(Outcome::Completed)
 }
 

@@ -61,7 +61,7 @@ mod cases {
             "BEGIN\nCELL prec_test\nRECT 832 480 384 1088 ;\nEND\n",
         )
         .expect("write design");
-        for prec in ["f64", "f32", "mixed"] {
+        for prec in ["f64", "f32"] {
             let mask_path = tmpfile(&format!("prec_{prec}.glp"));
             optimize(&to_args(&[
                 "--glp",
@@ -85,55 +85,80 @@ mod cases {
     }
 
     #[test]
-    fn optimize_accepts_rfft_flag() {
-        let design_path = tmpfile("rfft_design.glp");
-        let mask_path = tmpfile("rfft_mask.glp");
-        std::fs::write(
-            &design_path,
-            "BEGIN\nCELL rfft_test\nRECT 832 480 384 1088 ;\nEND\n",
-        )
-        .expect("write design");
-        optimize(&to_args(&[
-            "--glp",
-            design_path.to_str().expect("utf8"),
-            "--out",
-            mask_path.to_str().expect("utf8"),
-            "--grid",
-            "128",
-            "--kernels",
-            "4",
-            "--iters",
-            "3",
-            "--rfft",
-            "on",
-        ]))
-        .expect("--rfft on runs");
-        assert!(mask_path.exists(), "--rfft on wrote a mask");
-        std::fs::remove_file(design_path).ok();
-        std::fs::remove_file(mask_path).ok();
+    fn unknown_flags_are_usage_errors_naming_the_flag() {
+        use crate::error::Category;
+        for (command, args, needle) in [
+            ("profile", &["--bogus", "7", "--itres", "99"][..], "--bogus"),
+            (
+                "optimize",
+                &["--glp", "x.glp", "--out", "y.glp", "--itres", "9"][..],
+                "--itres",
+            ),
+            (
+                "evaluate",
+                &["--glp", "x.glp", "--mask", "m.glp", "--iters", "3"][..],
+                "--iters",
+            ),
+            ("suite", &["--tile", "128"][..], "--tile"),
+            // rfft is the only transform; the old routing flag fails
+            // loudly rather than being silently ignored.
+            (
+                "optimize",
+                &["--glp", "x.glp", "--out", "y.glp", "--rfft", "on"][..],
+                "--rfft",
+            ),
+            ("analyze", &["--bogus"][..], "--bogus"),
+        ] {
+            let err = dispatch(command, &to_args(args)).expect_err("unknown flag rejected");
+            assert_eq!(err.category(), Category::Usage, "{command} {args:?}");
+            assert_eq!(err.exit_code(), 2);
+            assert!(
+                err.to_string().contains(needle),
+                "{command} {args:?}: `{err}` lacks `{needle}`"
+            );
+        }
     }
 
     #[test]
-    fn invalid_rfft_is_a_usage_error() {
+    fn mixed_precision_is_a_usage_error_listing_the_choices() {
         use crate::error::Category;
-        let design_path = tmpfile("rfft_bad_design.glp");
-        std::fs::write(
-            &design_path,
-            "BEGIN\nCELL rfft_bad\nRECT 832 480 384 1088 ;\nEND\n",
+        let err = dispatch(
+            "optimize",
+            &to_args(&["--glp", "x.glp", "--out", "y.glp", "--precision", "mixed"]),
         )
-        .expect("write design");
-        let err = optimize(&to_args(&[
-            "--glp",
-            design_path.to_str().expect("utf8"),
-            "--out",
-            "y.glp",
-            "--rfft",
-            "maybe",
-        ]))
-        .expect_err("bad rfft value");
+        .expect_err("mixed is gone");
         assert_eq!(err.category(), Category::Usage);
-        assert!(err.to_string().contains("--rfft"));
-        std::fs::remove_file(design_path).ok();
+        let text = err.to_string();
+        assert!(
+            text.contains("mixed") && text.contains("f64, f32"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn every_subcommand_answers_help() {
+        for spec in crate::args::COMMANDS {
+            for flag in ["--help", "-h"] {
+                let outcome = dispatch(spec.name, &to_args(&[flag]))
+                    .unwrap_or_else(|e| panic!("lsopc {} {flag}: {e}", spec.name));
+                assert_eq!(outcome, Outcome::Completed, "lsopc {} {flag}", spec.name);
+            }
+        }
+        // Help wins over missing required flags and over other flags.
+        let outcome = dispatch("optimize", &to_args(&["--grid", "128", "--help"]))
+            .expect("help with other flags");
+        assert_eq!(outcome, Outcome::Completed);
+        assert_eq!(
+            dispatch("help", &[]).expect("top-level help"),
+            Outcome::Completed
+        );
+    }
+
+    #[test]
+    fn unknown_command_is_a_usage_error() {
+        let err = dispatch("optimise", &[]).expect_err("typo");
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.to_string().contains("optimise"));
     }
 
     #[test]
@@ -425,8 +450,9 @@ mod cases {
         assert_eq!(err.category(), Category::Usage);
         assert!(err.to_string().contains("analyze"));
 
-        let err = analyze(&to_args(&["--help"])).expect_err("flag is not a path");
+        let err = analyze(&to_args(&["--json"])).expect_err("flag is not a path");
         assert_eq!(err.category(), Category::Usage);
+        assert!(err.to_string().contains("--json"));
 
         let err = analyze(&to_args(&["/nonexistent/lsopc.jsonl"])).expect_err("unreadable");
         assert_eq!(err.category(), Category::Io);
@@ -606,7 +632,6 @@ mod cases {
             (&["--precision", "f16"][..], "--precision"),
             (&["--schedule", "fast"][..], "--schedule"),
             (&["--recover", "maybe"][..], "--recover"),
-            (&["--rfft", "maybe"][..], "--rfft"),
         ] {
             let err = suite(&to_args(args)).expect_err("misuse rejected");
             assert_eq!(err.category(), Category::Usage, "args {args:?}");

@@ -1,11 +1,15 @@
-//! Golden bit-identity test: the precision-generic refactor must leave the
-//! default f64 pipeline bit-identical to the pre-refactor output.
+//! Golden bit-identity test: the default f64 pipeline must reproduce its
+//! pinned output bit for bit.
 //!
-//! The expected hashes below were captured on the commit immediately before
-//! the `Scalar`-generic refactor (plain and line-search paths, 64 px grid,
-//! K = 4, vertical wire target). The hash is FNV-1a over `f64::to_bits` of
-//! every history field, the final mask, and the final level-set function —
-//! any reordering of floating-point operations in the f64 path changes it.
+//! The hashes were first captured on the commit immediately before the
+//! `Scalar`-generic refactor (plain and line-search paths, 64 px grid,
+//! K = 4, vertical wire target). They were re-pinned once since, when the
+//! real-input FFT (`RfftPlan`) became the only production transform: its
+//! half-spectrum untangling rounds differently from the dense complex
+//! transform it replaced, so every f64 result moved at round-off level.
+//! The hash is FNV-1a over `f64::to_bits` of every history field, the
+//! final mask, and the final level-set function — any reordering of
+//! floating-point operations in the f64 path changes it.
 
 use lsopc_core::{IltResult, LevelSetIlt};
 use lsopc_grid::Grid;
@@ -99,5 +103,5 @@ fn line_search_path_is_bit_identical_to_pre_refactor_output() {
     );
 }
 
-const GOLDEN_PLAIN: u64 = 0xd0d0_3247_cdea_ac34;
-const GOLDEN_LINE_SEARCH: u64 = 0x8aec_1871_436e_18cc;
+const GOLDEN_PLAIN: u64 = 0x409c_00df_eb4a_b8ee;
+const GOLDEN_LINE_SEARCH: u64 = 0x41f8_d2ec_bd61_4f42;

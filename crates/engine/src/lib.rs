@@ -46,6 +46,7 @@
 
 #![warn(missing_docs)]
 
+use std::any::{Any, TypeId};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -56,10 +57,8 @@ use lsopc_core::{
     RunControl, StopReason, TiledError, TiledIlt, TiledStats, WarmStartCache,
 };
 use lsopc_geometry::Layout;
-use lsopc_grid::Grid;
-use lsopc_litho::{
-    AcceleratedBackend, BuildSimulatorError, LithoSimulator, MixedBackend, SimCaches,
-};
+use lsopc_grid::{Grid, Scalar};
+use lsopc_litho::{AcceleratedBackend, BuildSimulatorError, LithoSimulator, SimCaches};
 use lsopc_metrics::MaskEvaluation;
 use lsopc_optics::OpticsConfig;
 use lsopc_trace::{MetricsRegistry, TraceSink};
@@ -89,9 +88,6 @@ pub enum Precision {
     /// Pure single precision fields and transforms (the paper's GPU
     /// arithmetic); the result mask is widened to f64 for scoring.
     F32,
-    /// f32 convolutions/spectra with f64 accumulation and optimizer
-    /// state (master-weights pattern).
-    Mixed,
 }
 
 /// Coarse-to-fine schedule selection for a job.
@@ -174,9 +170,6 @@ pub struct JobSpec {
     pub recovery: RecoveryPolicy,
     /// Loop arithmetic (default f64).
     pub precision: Precision,
-    /// Real-input FFT routing: `Some` pins it for this job's backends,
-    /// `None` keeps the process default (`LSOPC_RFFT` or off).
-    pub rfft: Option<bool>,
     /// Coarse-to-fine schedule (default off).
     pub schedule: Schedule,
     /// Tile the field instead of solving it whole (f64 only).
@@ -206,7 +199,6 @@ impl JobSpec {
             pvb_weight: 1.0,
             recovery: RecoveryPolicy::On(GuardConfig::default()),
             precision: Precision::F64,
-            rfft: None,
             schedule: Schedule::Off,
             tiling: None,
             warm_start: None,
@@ -440,27 +432,18 @@ impl JobOutcome {
     }
 }
 
-/// Simulator cache key: everything that feeds simulator construction.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct SimKey {
-    grid: usize,
-    kernels: usize,
-    precision: Precision,
-    rfft: Option<bool>,
-}
-
-#[derive(Debug)]
-enum SimEntry {
-    F64(Arc<LithoSimulator<f64>>),
-    F32(Arc<LithoSimulator<f32>>),
-}
+/// Simulator cache key: everything that feeds simulator construction —
+/// grid size, kernel count and the loop scalar type.
+type SimKey = (usize, usize, TypeId);
 
 #[derive(Debug)]
 struct Inner {
     caches: SimCaches,
     warm_memory: WarmStartCache,
     pool_threads: usize,
-    sims: Mutex<HashMap<SimKey, SimEntry>>,
+    /// `Arc<LithoSimulator<T>>` per key, type-erased so one map serves
+    /// both precisions; the key's `TypeId` guarantees the downcast.
+    sims: Mutex<HashMap<SimKey, Arc<dyn Any + Send + Sync>>>,
 }
 
 /// Long-lived job executor: owns the shared caches and the simulator
@@ -540,86 +523,42 @@ impl Engine {
         OpticsConfig::iccad2013().with_kernel_count(kernels)
     }
 
-    /// The cached f64 simulator for `key` (building it on first use).
-    fn sim_f64(&self, key: SimKey) -> Result<Arc<LithoSimulator<f64>>, EngineError> {
-        debug_assert_eq!(key.precision, Precision::F64);
+    /// The cached simulator at precision `T` for a grid/kernel-count
+    /// pair (building it on first use).
+    fn sim<T: Scalar>(
+        &self,
+        grid: usize,
+        kernels: usize,
+    ) -> Result<Arc<LithoSimulator<T>>, EngineError> {
+        let key = (grid, kernels, TypeId::of::<T>());
         let mut sims = self.inner.sims.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(SimEntry::F64(sim)) = sims.get(&key) {
-            return Ok(sim.clone());
+        if let Some(sim) = sims.get(&key) {
+            return Ok(Arc::clone(sim)
+                .downcast::<LithoSimulator<T>>()
+                .unwrap_or_else(|_| unreachable!("simulator keyed by TypeId has that type")));
         }
-        let mut backend = AcceleratedBackend::new(self.inner.pool_threads);
-        if let Some(rfft) = key.rfft {
-            backend = backend.with_rfft(rfft);
-        }
+        let backend = AcceleratedBackend::new(self.inner.pool_threads);
         let sim = Arc::new(
-            LithoSimulator::from_optics(&Self::optics(key.kernels), key.grid, pixel_nm(key.grid))?
+            LithoSimulator::<T>::from_optics(&Self::optics(kernels), grid, pixel_nm(grid))?
                 .with_backend(Box::new(backend))
                 .with_caches(self.inner.caches.clone()),
         );
-        sims.insert(key, SimEntry::F64(sim.clone()));
-        Ok(sim)
-    }
-
-    /// The cached f32 simulator for `key` (building it on first use).
-    fn sim_f32(&self, key: SimKey) -> Result<Arc<LithoSimulator<f32>>, EngineError> {
-        debug_assert_eq!(key.precision, Precision::F32);
-        let mut sims = self.inner.sims.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(SimEntry::F32(sim)) = sims.get(&key) {
-            return Ok(sim.clone());
-        }
-        let mut backend = AcceleratedBackend::new(self.inner.pool_threads);
-        if let Some(rfft) = key.rfft {
-            backend = backend.with_rfft(rfft);
-        }
-        let sim = Arc::new(
-            LithoSimulator::<f32>::from_optics(
-                &Self::optics(key.kernels),
-                key.grid,
-                pixel_nm(key.grid),
-            )?
-            .with_backend(Box::new(backend))
-            .with_caches(self.inner.caches.clone()),
-        );
-        sims.insert(key, SimEntry::F32(sim.clone()));
-        Ok(sim)
-    }
-
-    /// The cached mixed-precision simulator for `key`.
-    fn sim_mixed(&self, key: SimKey) -> Result<Arc<LithoSimulator<f64>>, EngineError> {
-        debug_assert_eq!(key.precision, Precision::Mixed);
-        let mut sims = self.inner.sims.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(SimEntry::F64(sim)) = sims.get(&key) {
-            return Ok(sim.clone());
-        }
-        let mut backend = MixedBackend::new();
-        if let Some(rfft) = key.rfft {
-            backend = backend.with_rfft(rfft);
-        }
-        let sim = Arc::new(
-            LithoSimulator::from_optics(&Self::optics(key.kernels), key.grid, pixel_nm(key.grid))?
-                .with_backend(Box::new(backend))
-                .with_caches(self.inner.caches.clone()),
-        );
-        sims.insert(key, SimEntry::F64(sim.clone()));
+        sims.insert(key, sim.clone());
         Ok(sim)
     }
 
     /// The shared f64 scoring simulator for a grid/kernel-count pair.
     ///
-    /// `rfft` follows the job's routing so that scoring a job's mask
-    /// reproduces the pre-engine CLI bit-for-bit.
+    /// The third parameter is ignored: every backend runs the one
+    /// real-input transform path, so there is no routing left to choose.
+    /// It remains only for source compatibility with existing callers.
     pub fn scorer(
         &self,
         grid: usize,
         kernels: usize,
-        rfft: Option<bool>,
+        _rfft: Option<bool>,
     ) -> Result<Scorer, EngineError> {
-        let sim = self.sim_f64(SimKey {
-            grid,
-            kernels,
-            precision: Precision::F64,
-            rfft,
-        })?;
+        let sim = self.sim::<f64>(grid, kernels)?;
         Ok(Scorer { sim })
     }
 
@@ -672,23 +611,13 @@ impl Engine {
             return self.submit_tiled(spec, &optics, ilt, tiling);
         }
 
-        let key = SimKey {
-            grid,
-            kernels: spec.kernels,
-            precision: spec.precision,
-            rfft: spec.rfft,
-        };
         let result = match spec.precision {
             Precision::F64 => {
-                let sim = self.sim_f64(key)?;
-                ilt.optimize_controlled(&sim, &spec.target, &spec.control)?
-            }
-            Precision::Mixed => {
-                let sim = self.sim_mixed(key)?;
+                let sim = self.sim::<f64>(grid, spec.kernels)?;
                 ilt.optimize_controlled(&sim, &spec.target, &spec.control)?
             }
             Precision::F32 => {
-                let sim = self.sim_f32(key)?;
+                let sim = self.sim::<f32>(grid, spec.kernels)?;
                 let target32 = spec.target.map(|&v| v as f32);
                 ilt.optimize_controlled(&sim, &target32, &spec.control)?
                     .to_f64()
@@ -736,9 +665,6 @@ impl Engine {
         tiled = tiled
             .with_run_control(spec.control.clone())
             .with_caches(self.inner.caches.clone());
-        if let Some(rfft) = spec.rfft {
-            tiled = tiled.with_rfft(rfft);
-        }
         let started = Instant::now();
         let (mask, stats) =
             tiled.optimize_with_stats(optics, &spec.target, pixel_nm(spec.grid()))?;
@@ -1030,8 +956,16 @@ mod tests {
         spec.iterations = 2;
         engine.submit(&spec).expect("job runs");
         let scorer = engine.scorer(128, 4, None).expect("scorer builds");
-        // Same SimKey → the cached simulator, not a fresh build.
+        // Same key → the cached simulator, not a fresh build.
         let again = engine.scorer(128, 4, None).expect("scorer rebuilds");
         assert!(Arc::ptr_eq(&scorer.sim, &again.sim));
+        // The f64 job ran on that same simulator; an f32 job gets its own.
+        let job_sim = engine.sim::<f64>(128, 4).expect("cached");
+        assert!(Arc::ptr_eq(&scorer.sim, &job_sim));
+        let f32_sim = engine.sim::<f32>(128, 4).expect("builds");
+        assert!(Arc::ptr_eq(
+            &f32_sim,
+            &engine.sim::<f32>(128, 4).expect("cached")
+        ));
     }
 }

@@ -32,19 +32,15 @@ fn counter(sink: &MemorySink, name: &str) -> u64 {
 }
 
 /// Two sequential submissions of the same optics: the first job pays
-/// the FFT-plan and kernel-spectrum construction misses, the second
-/// runs entirely out of the engine's shared caches — and produces the
-/// same mask bit for bit.
+/// the FFT-plan construction misses, the second runs entirely out of the
+/// engine's shared caches — and produces the same mask bit for bit.
 #[test]
 fn second_submission_runs_out_of_the_shared_caches() {
     // Private caches so counters reflect only this engine's jobs, not
     // whatever else ran in this test process.
     let engine = Engine::builder().caches(Caches::private()).build();
-    // Mixed precision routes the convolutions through the embedded
-    // spectrum cache (the accelerated f64 path windows the kernel set
-    // directly), so both cache families show up in the counters.
-    let mut spec = small_spec();
-    spec.precision = Precision::Mixed;
+    let spec = small_spec();
+    assert_eq!(spec.precision, Precision::F64);
 
     let first_sink = Arc::new(MemorySink::new());
     let first = engine
@@ -57,8 +53,8 @@ fn second_submission_runs_out_of_the_shared_caches() {
         "first job builds FFT plans"
     );
     assert!(
-        counter(&first_sink, "cache.spectra.miss") > 0,
-        "first job transforms the kernel bands"
+        counter(&first_sink, "cache.rplan.miss") > 0,
+        "first job builds real-input FFT plans"
     );
 
     let second_sink = Arc::new(MemorySink::new());
@@ -67,18 +63,17 @@ fn second_submission_runs_out_of_the_shared_caches() {
         .with_sink(second_sink.clone())
         .submit(&spec)
         .expect("second job runs");
-    assert_eq!(
-        counter(&second_sink, "cache.plan.miss"),
-        0,
-        "second job builds no FFT plans"
-    );
-    assert_eq!(
-        counter(&second_sink, "cache.spectra.miss"),
-        0,
-        "second job re-transforms no kernel bands"
-    );
-    assert!(counter(&second_sink, "cache.plan.hit") > 0);
-    assert!(counter(&second_sink, "cache.spectra.hit") > 0);
+    for family in ["plan", "rplan"] {
+        assert_eq!(
+            counter(&second_sink, &format!("cache.{family}.miss")),
+            0,
+            "second job builds no {family} entries"
+        );
+        assert!(
+            counter(&second_sink, &format!("cache.{family}.hit")) > 0,
+            "second job reuses {family} entries"
+        );
+    }
 
     let (a, b) = (first.mask().as_slice(), second.mask().as_slice());
     assert_eq!(a.len(), b.len());

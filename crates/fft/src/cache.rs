@@ -12,8 +12,8 @@
 //!   (backends, convolution helpers, optics kernel construction) goes
 //!   through;
 //! * [`plan`] — shorthand for `PlanCache::global().plan(w, h)` (`f64`);
-//! * [`plan_t`] — the scalar-generic equivalent, used by the f32 and
-//!   mixed-precision execution modes.
+//! * [`plan_t`] — the scalar-generic equivalent, used by the f32
+//!   execution mode.
 //!
 //! Plans are returned as `Arc<Fft2d<T>>`: repeated lookups of the same
 //! size and scalar type return clones of the *same* allocation, so

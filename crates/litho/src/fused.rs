@@ -11,6 +11,7 @@
 //! paths always use the exact SOCS sum — see `DESIGN.md` §7 for the
 //! deviation note.
 
+use crate::spectra::EmbeddedSpectra;
 use lsopc_grid::{Grid, C64};
 use lsopc_optics::KernelSet;
 
@@ -62,10 +63,13 @@ pub fn fused_kernel(kernels: &KernelSet) -> KernelSet {
 pub fn fused_aerial_image(kernels: &KernelSet, mask: &Grid<f64>) -> Grid<f64> {
     let fused = fused_kernel(kernels);
     let (w, h) = mask.dims();
-    let fft = lsopc_fft::plan(w, h);
-    let mhat = fft.forward_real(mask);
-    let mut field = crate::backend::apply_kernel_window(&fused, 0, &mhat);
-    fft.inverse(&mut field);
+    let mhat = lsopc_fft::rplan(w, h).forward(mask);
+    // One-shot embedding, uncached: the fused set's id would only churn
+    // the spectrum cache.
+    let spectra = EmbeddedSpectra::new(&fused, w, h);
+    let mut field = Grid::new(w, h, C64::ZERO);
+    spectra.apply_window_into_half(0, &mhat, &mut field);
+    lsopc_fft::plan(w, h).inverse(&mut field);
     field.map(|e| e.norm_sqr())
 }
 

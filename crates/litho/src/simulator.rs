@@ -149,10 +149,11 @@ impl<T: Scalar> LithoSimulator<T> {
         if grid_px < required {
             return Err(BuildSimulatorError::GridTooSmall { grid_px, required });
         }
-        // Pre-warm the process-wide FFT plan cache for this grid size so
+        // Pre-warm the process-wide FFT plan caches for this grid size so
         // the first simulation call pays no planning; the backends fetch
-        // the same shared plan on every pass.
+        // the same shared plans on every pass.
         let _ = lsopc_fft::plan_t::<T>(grid_px, grid_px);
+        let _ = lsopc_fft::rplan_t::<T>(grid_px, grid_px);
         Ok(Self {
             optics,
             grid_px,
@@ -226,6 +227,7 @@ impl<T: Scalar> LithoSimulator<T> {
         // Pre-warm the injected plan cache like `from_optics` pre-warmed
         // the global one, so the first call pays no planning.
         let _ = caches.plan_t::<T>(self.grid_px, self.grid_px);
+        let _ = caches.rplan_t::<T>(self.grid_px, self.grid_px);
         self.backend.set_caches(&caches);
         self.caches = caches;
         self
@@ -383,16 +385,6 @@ impl<T: Scalar> LithoSimulator<T> {
             inner,
             outer,
         }
-    }
-}
-
-impl LithoSimulator<f64> {
-    /// Convenience: use the mixed-precision backend (f32 transforms,
-    /// `f64` accumulation and optimizer state). Only meaningful at the
-    /// `f64` facade precision — the backend's contract is
-    /// `SimBackend<f64>`.
-    pub fn with_mixed_backend(self) -> Self {
-        self.with_backend(Box::new(crate::MixedBackend::new()))
     }
 }
 

@@ -20,9 +20,9 @@
 //! [`KernelSet::cast`]: lsopc_optics::KernelSet::cast
 //!
 //! All band-window application and adjoint accumulation in this crate
-//! goes through [`EmbeddedSpectra::apply_window_into`] and
-//! [`EmbeddedSpectra::accumulate_adjoint`], so the wrap/centre logic
-//! exists in exactly one place: [`EmbeddedSpectra::new`].
+//! goes through [`EmbeddedSpectra::apply_window_into_half`] (from the
+//! rfft half spectra) and [`EmbeddedSpectra::accumulate_adjoint`], so the
+//! wrap/centre logic exists in exactly one place: [`EmbeddedSpectra::new`].
 //!
 //! [`Fft2d::inverse_band`]: lsopc_fft::Fft2d::inverse_band
 //! [`Fft2d::forward_band`]: lsopc_fft::Fft2d::forward_band
@@ -133,12 +133,15 @@ impl<T: Scalar> EmbeddedSpectra<T> {
         &self.all_cols
     }
 
-    /// Writes `out := Ŝ_k ⊙ mhat`: the band samples get the product, the
-    /// rest of `out` is zeroed (so `out` may be a reused scratch grid).
+    /// Writes `out := Ŝ_k ⊙ mhat` from a full-layout spectrum: the band
+    /// samples get the product, the rest of `out` is zeroed (so `out` may
+    /// be a reused scratch grid). The dense oracle for
+    /// [`Self::apply_window_into_half`].
     ///
     /// # Panics
     ///
     /// Panics if `mhat` or `out` does not match the embedded grid size.
+    #[cfg(test)]
     pub(crate) fn apply_window_into(
         &self,
         k: usize,
@@ -206,31 +209,6 @@ impl<T: Scalar> EmbeddedSpectra<T> {
         let a = acc.as_mut_slice();
         for &(idx, s) in &self.kernels[k].entries {
             a[idx] += s.conj() * f[idx].scale(weight);
-        }
-    }
-
-    /// Mixed-precision adjoint accumulation: each band sample's product
-    /// `conj(Ŝ_k[κ]) · field[κ]` is computed at the transform precision
-    /// `T`, widened to `f64`, scaled by the `f64` master weight and summed
-    /// into an `f64` accumulator — so the sum over kernels never loses
-    /// significance to `T`'s round-off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `field` or `acc` does not match the embedded grid size.
-    pub(crate) fn accumulate_adjoint_upcast(
-        &self,
-        k: usize,
-        field: &Grid<Complex<T>>,
-        weight: f64,
-        acc: &mut Grid<Complex<f64>>,
-    ) {
-        assert_eq!(field.dims(), self.dims(), "field dimensions must match");
-        assert_eq!(acc.dims(), self.dims(), "accumulator dimensions must match");
-        let f = field.as_slice();
-        let a = acc.as_mut_slice();
-        for &(idx, s) in &self.kernels[k].entries {
-            a[idx] += (s.conj() * f[idx]).cast::<f64>().scale(weight);
         }
     }
 }

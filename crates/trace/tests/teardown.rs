@@ -8,10 +8,16 @@
 //! is what makes `lsopc analyze` usable on traces of crashed runs.
 
 use lsopc_trace::JsonlSink;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Both tests scope a sink, which flips the process-global `enabled()`
+/// state; the second asserts that state is off, so they must not
+/// overlap. One at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 #[test]
 fn killed_run_flushes_buffered_events_with_last_line_intact() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let path =
         std::env::temp_dir().join(format!("lsopc_trace_teardown_{}.jsonl", std::process::id()));
     // Enough events to overflow the writer's internal buffer at least
@@ -58,6 +64,7 @@ fn killed_run_flushes_buffered_events_with_last_line_intact() {
 
 #[test]
 fn scoped_tracing_state_recovers_after_a_killed_run() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     assert!(!lsopc_trace::enabled(), "clean slate");
     let outcome = std::panic::catch_unwind(|| {
         let sink = Arc::new(lsopc_trace::MemorySink::new());

@@ -12,8 +12,10 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --workspace"
+# The whole workspace, so the analyzer gate below runs a freshly built
+# target/release/lsopc (a root-only build skips the CLI binary).
+cargo build --release --workspace
 
 echo "==> cargo test (workspace, LSOPC_THREADS=1)"
 LSOPC_THREADS=1 cargo test -q --workspace
@@ -24,22 +26,23 @@ LSOPC_THREADS=4 cargo test -q --workspace
 echo "==> cargo test -p lsopc-core --features fault-injection"
 LSOPC_THREADS=4 cargo test -q -p lsopc-core --features fault-injection
 
-echo "==> precision suite (f32/mixed tolerances + thread determinism)"
-# The f32 and mixed paths must be deterministic per thread count; run the
-# dedicated suite at both pool sizes on top of the workspace runs above.
+echo "==> precision suite (f32 tolerances + thread determinism)"
+# The f32 path must stay within its tolerances of f64 and be
+# deterministic per thread count; run the dedicated suite at both pool
+# sizes on top of the workspace runs above.
 LSOPC_THREADS=1 cargo test -q --test precision_tolerance
 LSOPC_THREADS=4 cargo test -q --test precision_tolerance
-LSOPC_THREADS=1 cargo test -q -p lsopc-litho mixed
-LSOPC_THREADS=4 cargo test -q -p lsopc-litho mixed
 
-echo "==> rfft suite (half-spectrum path vs dense oracle + golden hashes)"
-# The opt-in rfft routing must track the dense path at every precision
-# and stay bit-identical across thread counts; the default dense path
-# must keep its golden f64 hashes with the routing code merely present.
+echo "==> rfft suite (the production transform vs its dense oracle + golden hashes)"
+# The real-input FFT is the only transform the backends run: it must
+# track the dense Fft2d oracle, whole optimizer runs on it must be
+# bit-identical across thread counts, and the f64 pipeline built on it
+# must reproduce its golden hashes at every pool size.
 LSOPC_THREADS=1 cargo test -q -p lsopc-fft --test proptest_rfft
 LSOPC_THREADS=4 cargo test -q -p lsopc-fft --test proptest_rfft
 LSOPC_THREADS=1 cargo test -q --test rfft_path
 LSOPC_THREADS=4 cargo test -q --test rfft_path
+LSOPC_THREADS=1 cargo test -q -p lsopc-core --test golden_f64
 LSOPC_THREADS=4 cargo test -q -p lsopc-core --test golden_f64
 
 echo "==> warm-start suite (fingerprint invariance + thread determinism)"
