@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lsopc_benchsuite::Iccad2013Suite;
-use lsopc_core::LevelSetIlt;
+use lsopc_core::{LevelSetIlt, RunControl};
 use lsopc_geometry::rasterize;
 use lsopc_litho::LithoSimulator;
 use lsopc_optics::OpticsConfig;
@@ -29,14 +29,15 @@ fn bench_iterations(c: &mut Criterion) {
         .conjugate_gradient(false)
         .build();
 
+    let ctl = RunControl::new();
     group.bench_function("cpu_backend", |b| {
-        b.iter(|| opt.optimize(&cpu, &target).expect("runs"));
+        b.iter(|| opt.optimize(&cpu, &target, &ctl).expect("runs"));
     });
     group.bench_function("accelerated_backend", |b| {
-        b.iter(|| opt.optimize(&gpu, &target).expect("runs"));
+        b.iter(|| opt.optimize(&gpu, &target, &ctl).expect("runs"));
     });
     group.bench_function("accelerated_no_cg", |b| {
-        b.iter(|| opt_nocg.optimize(&gpu, &target).expect("runs"));
+        b.iter(|| opt_nocg.optimize(&gpu, &target, &ctl).expect("runs"));
     });
     group.finish();
 }

@@ -11,7 +11,7 @@
 //! property of the host: on a single-core machine every context has one
 //! lane and all rows measure the same inline path.
 
-use lsopc_core::LevelSetIlt;
+use lsopc_core::{LevelSetIlt, RunControl};
 use lsopc_grid::Grid;
 use lsopc_litho::{AcceleratedBackend, LithoSimulator, SimBackend};
 use lsopc_optics::{KernelSet, OpticsConfig};
@@ -94,7 +94,9 @@ fn measure(cfg: &Config, threads: usize) -> Row {
     let opt = LevelSetIlt::builder().max_iterations(1).build();
     let target = mask(cfg.n);
     let iteration_s = time_best(cfg.samples, || {
-        let result = opt.optimize(&sim, &target).expect("one iteration");
+        let result = opt
+            .optimize(&sim, &target, &RunControl::new())
+            .expect("one iteration");
         assert_eq!(result.iterations, 1);
     });
 

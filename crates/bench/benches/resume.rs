@@ -93,7 +93,7 @@ fn run(
     let sink = Arc::new(MemorySink::new());
     lsopc_trace::install(sink.clone());
     let t = Instant::now();
-    let result = opt.optimize_controlled(&sim, tgt, control);
+    let result = opt.optimize(&sim, tgt, control);
     let wall = t.elapsed().as_secs_f64();
     lsopc_trace::uninstall();
     (wall, result.expect("bench run"), sink.report())

@@ -18,7 +18,9 @@
 //! asserts both mechanisms engage and writes no JSON.
 
 use lsopc_benchsuite::RepeatedTileSpec;
-use lsopc_core::{LevelSetIlt, ResolutionSchedule, TiledIlt, TiledStats, WarmStartCache};
+use lsopc_core::{
+    LevelSetIlt, ResolutionSchedule, RunControl, TiledIlt, TiledStats, WarmStartCache,
+};
 use lsopc_geometry::{rasterize, Layout};
 use lsopc_grid::Grid;
 use lsopc_litho::LithoSimulator;
@@ -103,7 +105,9 @@ fn run_full(cfg: &Config, tgt: &Grid<f64>, scheduled: bool) -> (FullRun, Grid<f6
         .schedule(schedule)
         .build();
     let t = Instant::now();
-    let result = opt.optimize(&sim, tgt).expect("full-grid run");
+    let result = opt
+        .optimize(&sim, tgt, &RunControl::new())
+        .expect("full-grid run");
     let wall_s = t.elapsed().as_secs_f64();
     let run = FullRun {
         wall_s,
@@ -136,8 +140,11 @@ fn run_tiled(
         ilt = ilt.with_warm_start(cache);
     }
     let t = Instant::now();
+    let sim = LithoSimulator::from_optics(&optics(cfg), ilt.tile_px(), cfg.pixel_nm())
+        .expect("valid tile window")
+        .with_accelerated_backend(1);
     let (mask, stats) = ilt
-        .optimize_with_stats(&optics(cfg), tgt, cfg.pixel_nm())
+        .optimize(&sim, tgt, &RunControl::new())
         .expect("tiled run");
     let wall_s = t.elapsed().as_secs_f64();
     let run = TiledRun {
@@ -168,7 +175,6 @@ fn tiled_entry(name: &str, r: &TiledRun) -> String {
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn write_json(
     cfg: &Config,
     spec: &RepeatedTileSpec,

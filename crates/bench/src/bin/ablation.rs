@@ -20,7 +20,7 @@ use lsopc_bench::runner::config_from_args;
 use lsopc_bench::Method;
 use lsopc_benchsuite::Iccad2013Suite;
 use lsopc_core::sraf::{seed_srafs, SrafRule};
-use lsopc_core::{Evolution, LevelSetIlt};
+use lsopc_core::{Evolution, LevelSetIlt, RunControl};
 use lsopc_geometry::rasterize;
 use lsopc_litho::{fused_aerial_image, ProcessCondition};
 use lsopc_metrics::{evaluate_mask, MaskComplexity};
@@ -53,7 +53,7 @@ fn main() {
             .max_iterations(cfg.levelset_iterations)
             .evolution(evolution)
             .build()
-            .optimize(&sim, &target)
+            .optimize(&sim, &target, &RunControl::new())
             .expect("well-formed target");
         let eval = evaluate_mask(&sim, &result.mask, &layout, &target);
         let final_cost = result.final_cost();
@@ -79,7 +79,7 @@ fn main() {
             .line_search(line_search)
             .narrow_band(band)
             .build()
-            .optimize(&sim, &target)
+            .optimize(&sim, &target, &RunControl::new())
             .expect("well-formed target");
         let eval = evaluate_mask(&sim, &result.mask, &layout, &target);
         println!(
@@ -104,7 +104,7 @@ fn main() {
             .max_iterations(cfg.levelset_iterations)
             .pvb_weight(w)
             .build()
-            .optimize(&sim, &target)
+            .optimize(&sim, &target, &RunControl::new())
             .expect("well-formed target");
         let eval = evaluate_mask(&sim, &result.mask, &layout, &target);
         println!(
@@ -127,7 +127,7 @@ fn main() {
             .max_iterations(cfg.levelset_iterations)
             .curvature_weight(w)
             .build()
-            .optimize(&sim, &target)
+            .optimize(&sim, &target, &RunControl::new())
             .expect("well-formed target");
         let eval = evaluate_mask(&sim, &result.mask, &layout, &target);
         println!(
@@ -169,7 +169,7 @@ fn main() {
             let result = LevelSetIlt::builder()
                 .max_iterations(cfg.levelset_iterations)
                 .build()
-                .optimize(&sim, &target)
+                .optimize(&sim, &target, &RunControl::new())
                 .expect("well-formed target");
             evaluate_mask(&sim, &result.mask, &layout, &target)
         };
@@ -199,7 +199,7 @@ fn main() {
         let ls = LevelSetIlt::builder()
             .max_iterations(cfg.levelset_iterations)
             .build()
-            .optimize(&sim, &target)
+            .optimize(&sim, &target, &RunControl::new())
             .expect("well-formed target");
         let px = PixelIlt::new(PixelIltMode::Exact)
             .with_iterations(cfg.levelset_iterations)

@@ -18,7 +18,7 @@
 use lsopc_bench::runner::config_from_args;
 use lsopc_bench::Method;
 use lsopc_benchsuite::Iccad2013Suite;
-use lsopc_core::LevelSetIlt;
+use lsopc_core::{LevelSetIlt, RunControl};
 use lsopc_geometry::{extract_contours, rasterize};
 use lsopc_grid::write_pgm;
 use lsopc_metrics::{evaluate_mask, EpeChecker};
@@ -49,7 +49,7 @@ fn main() {
         .max_iterations(cfg.levelset_iterations)
         .snapshot_interval(snap_every)
         .build()
-        .optimize(&sim, &target)
+        .optimize(&sim, &target, &RunControl::new())
         .expect("suite targets are well-formed");
     let mut contour_csv = String::from("iteration,contour_id,x_px,y_px\n");
     for (iter, mask) in &result.snapshots {
@@ -106,7 +106,7 @@ fn main() {
         .max_iterations(cfg.levelset_iterations)
         .conjugate_gradient(false)
         .build()
-        .optimize(&sim, &target)
+        .optimize(&sim, &target, &RunControl::new())
         .expect("suite targets are well-formed");
     for i in 0..cg.history.len().max(plain.history.len()) {
         let a = cg

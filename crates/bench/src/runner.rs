@@ -2,7 +2,7 @@
 
 use lsopc_baselines::{MaskOptimizer, PixelIlt, PixelIltMode, PvOpc, RobustOpc};
 use lsopc_benchsuite::{CaseSpec, Iccad2013Suite};
-use lsopc_core::LevelSetIlt;
+use lsopc_core::{LevelSetIlt, RunControl};
 use lsopc_geometry::{rasterize, Layout};
 use lsopc_grid::Grid;
 use lsopc_litho::LithoSimulator;
@@ -236,7 +236,7 @@ fn optimize(
             let result = LevelSetIlt::builder()
                 .max_iterations(cfg.levelset_iterations)
                 .build()
-                .optimize(sim, target)
+                .optimize(sim, target, &RunControl::new())
                 .expect("suite targets are well-formed");
             (result.mask, result.runtime_s)
         }

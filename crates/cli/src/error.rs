@@ -75,12 +75,12 @@ impl CliError {
     }
 
     /// Maps tiled-optimization failures onto the existing categories:
-    /// bad tile geometry is flag misuse, a failed tile simulator is a
-    /// setup failure, and tile solves follow [`CliError::from_optimize`].
+    /// bad tile geometry is flag misuse and tile solves follow
+    /// [`CliError::from_optimize`]. (A tile window the simulator cannot
+    /// hold is an engine setup failure.)
     pub fn from_tiled(e: TiledError) -> Self {
         match e {
             TiledError::BadConfiguration(msg) => Self::usage(msg),
-            TiledError::Simulator(e) => Self::setup(e.to_string()),
             TiledError::Optimize(e) => Self::from_optimize(e),
             TiledError::Checkpoint(msg) => Self::new(Category::Checkpoint, msg),
         }

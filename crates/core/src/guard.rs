@@ -322,7 +322,7 @@ pub(crate) struct HealthGuard {
 /// part of the snapshot: it is derived deterministically from the
 /// optimizer's [`RecoveryPolicy`], which the checkpoint's config hash
 /// already pins.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct GuardSnapshot {
     /// Everything observed so far.
     pub(crate) diagnostics: SolverDiagnostics,

@@ -21,7 +21,7 @@
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! use lsopc_core::LevelSetIlt;
+//! use lsopc_core::{LevelSetIlt, RunControl};
 //! use lsopc_grid::Grid;
 //! use lsopc_litho::LithoSimulator;
 //! use lsopc_optics::OpticsConfig;
@@ -37,7 +37,7 @@
 //! let result = LevelSetIlt::builder()
 //!     .max_iterations(8)
 //!     .build()
-//!     .optimize(&sim, &target)?;
+//!     .optimize(&sim, &target, &RunControl::new())?;
 //! let first = result.history.first().expect("history");
 //! let last = result.history.last().expect("history");
 //! assert!(last.cost_total <= first.cost_total);
@@ -66,5 +66,5 @@ pub use lsopc_parallel::{CancelToken, StopReason};
 pub use optimizer::{IltResult, OptimizeError};
 pub use resume::{CheckpointError, CheckpointSpec, RunControl};
 pub use schedule::ResolutionSchedule;
-pub use tiles::{TiledError, TiledIlt, TiledStats};
+pub use tiles::{tile_window, TiledError, TiledIlt, TiledStats};
 pub use warmstart::{fingerprint, PatternFingerprint, WarmStartCache};

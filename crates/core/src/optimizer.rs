@@ -2,12 +2,10 @@
 
 use crate::cg::prp_beta;
 use crate::guard::{panic_message, BackoffOutcome, Health, HealthGuard};
-use crate::resume::{
-    self, Checkpoint, CheckpointError, CheckpointSpec, CoarseCarry, LoopSnapshot, StageTag,
-};
+use crate::resume::{self, Checkpoint, CheckpointError, CoarseCarry, LoopSnapshot, StageTag};
 use crate::{
-    Evolution, GuardEventKind, IterationRecord, LevelSetIlt, ResolutionSchedule, RunControl,
-    SolverDiagnostics, StopReason,
+    Evolution, GuardEventKind, IterationRecord, LevelSetIlt, RecoveryPolicy, ResolutionSchedule,
+    RunControl, SolverDiagnostics, StopReason,
 };
 use lsopc_grid::{max_abs, Grid, Scalar};
 use lsopc_levelset::{
@@ -173,14 +171,10 @@ impl<T: Scalar> IltResult<T> {
     }
 }
 
-/// Mirrors one just-pushed [`IterationRecord`] to the trace layer (the
-/// per-iteration telemetry event). No-op when tracing is disabled or the
-/// history is empty.
-fn emit_iter(record: Option<&IterationRecord>) {
-    if !lsopc_trace::enabled() {
-        return;
-    }
-    if let Some(rec) = record {
+/// Mirrors an [`IterationRecord`] to the trace layer (the
+/// per-iteration telemetry event). No-op when tracing is disabled.
+fn emit_iter(rec: &IterationRecord) {
+    if lsopc_trace::enabled() {
         lsopc_trace::iter(&lsopc_trace::IterRecord {
             iteration: rec.iteration,
             cost_total: rec.cost_total,
@@ -195,116 +189,202 @@ fn emit_iter(record: Option<&IterationRecord>) {
     }
 }
 
-/// Per-run bookkeeping shared by every stage of one controlled run.
-struct RunMeta<'a> {
+/// Runs `f`, containing a worker-pool panic as `Err(message)` when the
+/// guard is on; with the guard off a panic propagates.
+fn contain<R>(guarded: bool, f: impl FnOnce() -> R) -> Result<R, String> {
+    if guarded {
+        catch_unwind(AssertUnwindSafe(f)).map_err(panic_message)
+    } else {
+        Ok(f())
+    }
+}
+
+/// How the loop proceeds after one iteration body.
+#[derive(Debug, PartialEq, Eq)]
+enum Flow {
+    /// The iteration completed: checkpoint on schedule and go on.
+    Next,
+    /// The guard rolled the iteration back: retry from the restored ψ.
+    Retry,
+    /// A stall or exhausted backoffs: stop without converging.
+    Stop,
+    /// Algorithm 1's stop condition `max|v| ≤ ε` held.
+    Converged,
+}
+
+/// The mutable state of the Algorithm 1 loop — everything a checkpoint
+/// captures and a resume restores.
+struct LoopState<T: Scalar> {
+    /// The iteration in progress, or the next one at an iteration
+    /// boundary (local to its stage).
+    iteration: usize,
+    psi: Grid<T>,
+    /// PRP conjugate-gradient state: the previous gradient velocity and
+    /// search velocity.
+    prev_gradient_velocity: Option<Grid<T>>,
+    prev_velocity: Option<Grid<T>>,
+    /// Best accepted iterate as `(cost, mask, ψ)`.
+    best: Option<(f64, Grid<T>, Grid<T>)>,
+    /// `None` with `RecoveryPolicy::Off`: the loop then follows the
+    /// historical code path exactly.
+    guard: Option<HealthGuard>,
+    /// The guard's rollback target: the last pre-evolve ψ that passed
+    /// every per-iteration check.
+    guard_checkpoint: Option<Grid<T>>,
+    history: Vec<IterationRecord>,
+    /// Mask snapshots as `(iteration, mask)`.
+    snapshots: Vec<(usize, Grid<T>)>,
+}
+
+impl<T: Scalar> LoopState<T> {
+    /// The state before iteration 0, starting from `psi`.
+    fn new(psi: Grid<T>, recovery: &RecoveryPolicy) -> Self {
+        Self {
+            iteration: 0,
+            psi,
+            prev_gradient_velocity: None,
+            prev_velocity: None,
+            best: None,
+            guard: HealthGuard::from_policy(recovery),
+            guard_checkpoint: None,
+            history: Vec::new(),
+            snapshots: Vec::new(),
+        }
+    }
+
+    /// Captures the state in f64, the checkpoint precision: exact at
+    /// f64, a lossless widening otherwise.
+    fn snapshot(&self) -> LoopSnapshot {
+        let widen = |g: &Grid<T>| g.map(|&v| v.to_f64());
+        LoopSnapshot {
+            next_iteration: self.iteration,
+            psi: widen(&self.psi),
+            prev_gradient_velocity: self.prev_gradient_velocity.as_ref().map(widen),
+            prev_velocity: self.prev_velocity.as_ref().map(widen),
+            // The best mask is always `mask_from_levelset` of the best ψ,
+            // so only the (cost, ψ) pair needs to be stored.
+            best: self.best.as_ref().map(|(cost, _, psi)| (*cost, widen(psi))),
+            guard: self.guard.as_ref().map(HealthGuard::snapshot),
+            guard_checkpoint: self.guard_checkpoint.as_ref().map(widen),
+            history: self.history.clone(),
+            snapshots: self.snapshots.iter().map(|(i, m)| (*i, widen(m))).collect(),
+        }
+    }
+
+    /// Overwrites the state with a captured one. The narrowing map is
+    /// the exact inverse of [`LoopState::snapshot`]'s widening.
+    fn restore(&mut self, snap: LoopSnapshot) -> Result<(), CheckpointError> {
+        let (w, h) = self.psi.dims();
+        if snap.psi.dims() != (w, h) {
+            return Err(CheckpointError::Malformed(format!(
+                "checkpoint ψ is {}×{}, stage grid is {w}×{h}",
+                snap.psi.dims().0,
+                snap.psi.dims().1
+            )));
+        }
+        match (self.guard.as_mut(), snap.guard) {
+            (Some(g), Some(gs)) => g.restore(gs),
+            (None, None) => {}
+            _ => {
+                return Err(CheckpointError::Malformed(
+                    "checkpoint guard state does not match the recovery policy".into(),
+                ))
+            }
+        }
+        let narrow = |g: &Grid<f64>| g.map(|&v| T::from_f64(v));
+        self.iteration = snap.next_iteration;
+        self.psi = narrow(&snap.psi);
+        self.prev_gradient_velocity = snap.prev_gradient_velocity.as_ref().map(narrow);
+        self.prev_velocity = snap.prev_velocity.as_ref().map(narrow);
+        // The loop only ever stores best = (cost, mask_from_levelset(ψ), ψ),
+        // so recomputing the mask from the stored ψ is exact.
+        self.best = snap.best.map(|(cost, psi)| {
+            let psi = narrow(&psi);
+            (cost, mask_from_levelset(&psi), psi)
+        });
+        self.guard_checkpoint = snap.guard_checkpoint.as_ref().map(narrow);
+        self.history = snap.history;
+        self.snapshots = snap
+            .snapshots
+            .iter()
+            .map(|(i, m)| (*i, narrow(m)))
+            .collect();
+        Ok(())
+    }
+}
+
+/// Per-stage context handed to [`LevelSetIlt::run`].
+#[derive(Clone, Copy)]
+struct StageCtx<'a> {
     control: &'a RunControl,
     /// Configuration fingerprint written into (and checked against)
     /// checkpoint files; zero when the control never persists.
     config_hash: u64,
-}
-
-/// Per-stage context handed to [`LevelSetIlt::run`]: which stage this
-/// is (for checkpoint tagging), how many iterations earlier stages
-/// already consumed (for the global budget), and optionally the loop
-/// state to restore.
-struct StageCtx<'a> {
-    meta: &'a RunMeta<'a>,
+    /// The stage checkpoints are tagged with.
     stage: StageTag,
-    /// Iterations completed by earlier stages of this run.
+    /// Iterations completed by earlier stages (for the global budget).
     iter_offset: usize,
-    /// Loop state to restore instead of initializing from scratch.
-    resume: Option<LoopSnapshot>,
     /// Completed-coarse context to embed in fine-stage checkpoints.
-    carry: Option<CoarseCarry>,
+    carry: Option<&'a CoarseCarry>,
 }
 
-impl<'a> StageCtx<'a> {
-    /// The context of an unscheduled (or fallback-flat) run.
-    fn flat(meta: &'a RunMeta<'a>, resume: Option<LoopSnapshot>) -> Self {
-        Self {
-            meta,
-            stage: StageTag::Flat,
-            iter_offset: 0,
-            resume,
-            carry: None,
+impl StageCtx<'_> {
+    /// Captures the loop state into the control's checkpoint file,
+    /// atomically (no-op without a checkpoint spec). A write failure is
+    /// a warning, not an error: losing a periodic checkpoint must not
+    /// kill a healthy optimization.
+    fn save<T: Scalar>(&self, state: &LoopState<T>) {
+        let Some(spec) = self.control.checkpoint.as_ref() else {
+            return;
+        };
+        // Spans the whole capture (state widening + serialization + the
+        // atomic write), so the trace reports the full per-write cost.
+        let _span = lsopc_trace::span!("checkpoint.write");
+        let ck = Checkpoint {
+            config_hash: self.config_hash,
+            stage: self.stage,
+            snapshot: state.snapshot(),
+            carry: self.carry.cloned(),
+        };
+        match resume::write_checkpoint(&spec.path, &ck) {
+            Ok(()) => lsopc_trace::count("checkpoint.write", 1),
+            Err(e) => lsopc_trace::warn(
+                "resume",
+                &format!("checkpoint write to {} failed: {e}", spec.path.display()),
+            ),
         }
     }
 }
 
-/// Unwraps a loaded checkpoint for a flat (unscheduled or
-/// fallback-flat) run, which can only resume a `Flat`-stage file. The
-/// config hash normally guarantees this; a mismatch here means the
-/// file was tampered with.
-fn flat_snapshot(loaded: Option<Checkpoint>) -> Result<Option<LoopSnapshot>, OptimizeError> {
-    match loaded {
-        None => Ok(None),
-        Some(ck) if ck.stage == StageTag::Flat => Ok(Some(ck.snapshot)),
-        Some(_) => Err(CheckpointError::Malformed(
-            "checkpoint stage does not match an unscheduled run".into(),
-        )
+/// The loop state a loaded checkpoint re-enters, as `(first, fine)`:
+/// `first` resumes the flat or (if `scheduled`) the coarse stage, `fine`
+/// skips to the fine stage with the coarse carry. The config hash pins
+/// the schedule, so a stage that does not fit means a tampered file.
+type ResumePoint = (Option<LoopSnapshot>, Option<(LoopSnapshot, CoarseCarry)>);
+fn resume_point(loaded: Option<Checkpoint>, scheduled: bool) -> Result<ResumePoint, OptimizeError> {
+    let Some(ck) = loaded else {
+        return Ok((None, None));
+    };
+    match (ck.stage, scheduled, ck.carry) {
+        (StageTag::Flat, false, _) | (StageTag::Coarse, true, _) => Ok((Some(ck.snapshot), None)),
+        (StageTag::Fine, true, Some(carry)) => Ok((None, Some((ck.snapshot, carry)))),
+        (stage, ..) => Err(CheckpointError::Malformed(format!(
+            "{stage:?}-stage checkpoint does not fit this run's schedule"
+        ))
         .into()),
     }
 }
 
-/// Captures the loop state into a checkpoint file, atomically. A write
-/// failure is a warning, not an error: losing a periodic checkpoint
-/// must not kill a healthy optimization.
-#[allow(clippy::too_many_arguments)]
-fn save_loop_checkpoint<T: Scalar>(
-    spec: &CheckpointSpec,
-    config_hash: u64,
-    stage: StageTag,
-    carry: Option<&CoarseCarry>,
-    next_iteration: usize,
-    psi: &Grid<T>,
-    prev_gradient_velocity: Option<&Grid<T>>,
-    prev_velocity: Option<&Grid<T>>,
-    best: Option<&(f64, Grid<T>, Grid<T>)>,
-    guard: Option<&HealthGuard>,
-    guard_checkpoint: Option<&Grid<T>>,
-    history: &[IterationRecord],
-    snapshots: &[(usize, Grid<T>)],
-) {
-    // Spans the whole capture (state widening + serialization + the
-    // atomic write), so the trace reports the full per-write cost.
-    let _span = lsopc_trace::span!("checkpoint.write");
-    let widen = |g: &Grid<T>| g.map(|&v| v.to_f64());
-    let snapshot = LoopSnapshot {
-        next_iteration,
-        psi: widen(psi),
-        prev_gradient_velocity: prev_gradient_velocity.map(widen),
-        prev_velocity: prev_velocity.map(widen),
-        // The best mask is always `mask_from_levelset` of the best ψ,
-        // so only the (cost, ψ) pair needs to be stored.
-        best: best.map(|(cost, _mask, psi)| (*cost, widen(psi))),
-        guard: guard.map(HealthGuard::snapshot),
-        guard_checkpoint: guard_checkpoint.map(widen),
-        history: history.to_vec(),
-        snapshots: snapshots.iter().map(|(i, m)| (*i, widen(m))).collect(),
-    };
-    let ck = Checkpoint {
-        config_hash,
-        stage,
-        snapshot,
-        carry: carry.cloned(),
-    };
-    match resume::write_checkpoint(&spec.path, &ck) {
-        Ok(()) => lsopc_trace::count("checkpoint.write", 1),
-        Err(e) => lsopc_trace::warn(
-            "resume",
-            &format!("checkpoint write to {} failed: {e}", spec.path.display()),
-        ),
-    }
-}
-
 impl LevelSetIlt {
-    /// Runs Algorithm 1: optimizes a mask for `target` on the given
-    /// simulator.
+    /// Runs Algorithm 1 under a [`RunControl`]: optimizes a mask for
+    /// `target` on the given simulator.
     ///
-    /// The initial mask is the target itself (binarized at 0.5), per the
-    /// paper's initialization. The returned mask is the binary mask of the
-    /// best-scoring iterate (by total cost), which for a well-behaved run
-    /// is the final one.
+    /// ψ₀ is the target's signed distance (binarized at 0.5), per the
+    /// paper — or the control's warm start
+    /// ([`RunControl::with_initial_levelset`]), used verbatim in place of
+    /// any [`ResolutionSchedule`]'s coarse stage. The returned mask is
+    /// that of the best-scoring iterate (by total cost), for a
+    /// well-behaved run the final one.
     ///
     /// Generic over the field scalar `T` (default `f64`): fields (mask,
     /// `ψ`, gradients, velocities) are held and evolved at `T`, while
@@ -313,165 +393,39 @@ impl LevelSetIlt {
     /// pattern. At `T = f64` this is bit-identical to the historical
     /// f64-only loop (see `tests/golden_f64.rs`).
     ///
+    /// A default control imposes nothing. Otherwise it is polled at
+    /// every iteration boundary (including each stage's first). A stop
+    /// is graceful: the best-so-far mask is returned with
+    /// [`IltResult::stopped`] set and — when checkpointing is on — a
+    /// final checkpoint on disk. A resumed run replays the identical
+    /// code path, so at f64 it is bit-identical to an uninterrupted one.
+    ///
     /// # Errors
     ///
-    /// Returns [`OptimizeError`] if the target does not match the
-    /// simulator grid or contains no pattern.
+    /// Returns [`OptimizeError`] if the target or the warm-start ψ₀
+    /// does not match the simulator grid or the target contains no
+    /// pattern, and [`OptimizeError::Checkpoint`] when a resume file is
+    /// missing, corrupt, or from a run with other optimizer parameters,
+    /// simulator geometry, target or ψ₀.
     pub fn optimize<T: Scalar>(
         &self,
         sim: &LithoSimulator<T>,
         target: &Grid<T>,
-    ) -> Result<IltResult<T>, OptimizeError> {
-        self.optimize_controlled(sim, target, &RunControl::default())
-    }
-
-    /// [`LevelSetIlt::optimize`] under a [`RunControl`]: cooperative
-    /// cancellation, wall-clock deadline, global iteration budget,
-    /// periodic checkpointing and checkpoint resume.
-    ///
-    /// The control is polled at every iteration boundary (including the
-    /// first iteration of each schedule stage, which makes the
-    /// coarse→fine transition a cancellation point). A requested stop
-    /// is graceful: the best-so-far mask is returned with
-    /// [`IltResult::stopped`] set and — when checkpointing is on — a
-    /// final checkpoint on disk. With a default control this is exactly
-    /// [`LevelSetIlt::optimize`], bit for bit.
-    ///
-    /// Resuming restores the loop state the checkpoint captured and
-    /// replays the remaining iterations through the identical code
-    /// path, so at the f64 default a resumed run is bit-identical
-    /// (mask, ψ, history — `f64::to_bits`) to the uninterrupted one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimizeError`] for invalid targets, and
-    /// [`OptimizeError::Checkpoint`] when a resume file is missing,
-    /// corrupt, or from an incompatible run (different optimizer
-    /// parameters, simulator geometry or target).
-    pub fn optimize_controlled<T: Scalar>(
-        &self,
-        sim: &LithoSimulator<T>,
-        target: &Grid<T>,
-        control: &RunControl,
-    ) -> Result<IltResult<T>, OptimizeError> {
-        let target = self.validate_target(sim, target)?;
-        let config_hash = if control.persists() {
-            resume::config_hash(self, sim, &target, None)
-        } else {
-            0
-        };
-        let loaded = self.load_resume(control, config_hash)?;
-        let meta = RunMeta {
-            control,
-            config_hash,
-        };
-        match self.schedule {
-            Some(schedule) => self.optimize_scheduled(sim, &target, &schedule, &meta, loaded),
-            None => self.run(
-                sim,
-                &target,
-                None,
-                self.max_iterations,
-                StageCtx::flat(&meta, flat_snapshot(loaded)?),
-            ),
-        }
-    }
-
-    /// Runs Algorithm 1 from a caller-supplied initial level set instead
-    /// of the target's signed distance — the warm-start entry point: a
-    /// cached ψ from a previously solved (translation-equivalent) tile
-    /// drops the early contour-forming iterations and goes straight to
-    /// refinement.
-    ///
-    /// `init` is used as ψ₀ verbatim (callers wanting a true signed
-    /// distance should reinitialize first). Any configured
-    /// [`ResolutionSchedule`] is ignored: a warm start replaces the
-    /// coarse stage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimizeError`] if `init` or the target does not match
-    /// the simulator grid, or the target contains no pattern.
-    pub fn optimize_from<T: Scalar>(
-        &self,
-        sim: &LithoSimulator<T>,
-        target: &Grid<T>,
-        init: Grid<T>,
-    ) -> Result<IltResult<T>, OptimizeError> {
-        self.optimize_from_controlled(sim, target, init, &RunControl::default())
-    }
-
-    /// [`LevelSetIlt::optimize_from`] under a [`RunControl`] — see
-    /// [`LevelSetIlt::optimize_controlled`] for the control semantics.
-    /// The warm-start ψ₀ is folded into the checkpoint's config hash,
-    /// so a resume with a different initial level set is rejected as
-    /// [`OptimizeError::Checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// As [`LevelSetIlt::optimize_from`], plus
-    /// [`OptimizeError::Checkpoint`] for unusable resume files.
-    pub fn optimize_from_controlled<T: Scalar>(
-        &self,
-        sim: &LithoSimulator<T>,
-        target: &Grid<T>,
-        init: Grid<T>,
         control: &RunControl,
     ) -> Result<IltResult<T>, OptimizeError> {
         let n = sim.grid_px();
-        if init.dims() != (n, n) {
-            return Err(OptimizeError::InitDimsMismatch {
-                init: init.dims(),
-                sim: n,
-            });
-        }
-        let target = self.validate_target(sim, target)?;
-        let config_hash = if control.persists() {
-            resume::config_hash(self, sim, &target, Some(&init))
-        } else {
-            0
+        // Narrowed before hashing, so the config hash sees the ψ₀ the
+        // loop actually starts from.
+        let init = match &control.initial_levelset {
+            Some(g) if g.dims() != (n, n) => {
+                return Err(OptimizeError::InitDimsMismatch {
+                    init: g.dims(),
+                    sim: n,
+                })
+            }
+            Some(g) => Some(g.map(|&v| T::from_f64(v))),
+            None => None,
         };
-        let loaded = self.load_resume(control, config_hash)?;
-        let meta = RunMeta {
-            control,
-            config_hash,
-        };
-        self.run(
-            sim,
-            &target,
-            Some(init),
-            self.max_iterations,
-            StageCtx::flat(&meta, flat_snapshot(loaded)?),
-        )
-    }
-
-    /// Loads and validates the control's resume checkpoint, if any.
-    fn load_resume(
-        &self,
-        control: &RunControl,
-        config_hash: u64,
-    ) -> Result<Option<Checkpoint>, OptimizeError> {
-        let Some(path) = control.resume.as_ref() else {
-            return Ok(None);
-        };
-        let ck = {
-            let _span = lsopc_trace::span!("checkpoint.load");
-            resume::load_checkpoint(path)?
-        };
-        if ck.config_hash != config_hash {
-            return Err(CheckpointError::ConfigMismatch.into());
-        }
-        lsopc_trace::count("checkpoint.load", 1);
-        Ok(Some(ck))
-    }
-
-    /// Validates and binarizes the target (shared by every entry point).
-    fn validate_target<T: Scalar>(
-        &self,
-        sim: &LithoSimulator<T>,
-        target: &Grid<T>,
-    ) -> Result<Grid<T>, OptimizeError> {
-        let n = sim.grid_px();
         if target.dims() != (n, n) {
             return Err(OptimizeError::TargetDimsMismatch {
                 target: target.dims(),
@@ -482,7 +436,53 @@ impl LevelSetIlt {
         if target.sum() == T::ZERO {
             return Err(OptimizeError::EmptyTarget);
         }
-        Ok(target)
+        let config_hash = if control.persists() {
+            resume::config_hash(self, sim, &target, init.as_ref())
+        } else {
+            0
+        };
+        let loaded = match control.resume.as_ref() {
+            Some(path) => {
+                let ck = {
+                    let _span = lsopc_trace::span!("checkpoint.load");
+                    resume::load_checkpoint(path)?
+                };
+                if ck.config_hash != config_hash {
+                    return Err(CheckpointError::ConfigMismatch.into());
+                }
+                lsopc_trace::count("checkpoint.load", 1);
+                Some(ck)
+            }
+            None => None,
+        };
+        let flat = StageCtx {
+            control,
+            config_hash,
+            stage: StageTag::Flat,
+            iter_offset: 0,
+            carry: None,
+        };
+        match (self.schedule, init) {
+            (Some(schedule), None) => {
+                self.optimize_scheduled(sim, &target, &schedule, flat, loaded)
+            }
+            (_, init) => {
+                let resume = resume_point(loaded, false)?.0;
+                self.run(sim, &target, init, resume, self.max_iterations, flat)
+            }
+        }
+    }
+
+    /// Forwards to [`LevelSetIlt::optimize`] for the benchmark harness,
+    /// which still calls the optimizer by this name.
+    #[doc(hidden)]
+    pub fn optimize_controlled<T: Scalar>(
+        &self,
+        sim: &LithoSimulator<T>,
+        target: &Grid<T>,
+        control: &RunControl,
+    ) -> Result<IltResult<T>, OptimizeError> {
+        self.optimize(sim, target, control)
     }
 
     /// The two-stage coarse-to-fine path (DESIGN.md §14): solve on the
@@ -502,55 +502,26 @@ impl LevelSetIlt {
         sim: &LithoSimulator<T>,
         target: &Grid<T>,
         schedule: &ResolutionSchedule,
-        meta: &RunMeta<'_>,
+        flat: StageCtx<'_>,
         loaded: Option<Checkpoint>,
     ) -> Result<IltResult<T>, OptimizeError> {
         let start = Instant::now();
-        let Some(factor) = schedule.downsample_factor(sim.grid_px()) else {
-            return self.run(
-                sim,
-                target,
-                None,
-                self.max_iterations,
-                StageCtx::flat(meta, flat_snapshot(loaded)?),
-            );
-        };
         // Block-average then re-threshold: a feature must cover half a
         // coarse cell to survive. An all-empty coarse target cannot be
         // optimized, so fall back to the flat loop.
-        let coarse_target = target.map(|&v| v.to_f64()).downsample(factor).binarize(0.5);
-        if coarse_target.sum() == 0.0 {
-            return self.run(
-                sim,
-                target,
-                None,
-                self.max_iterations,
-                StageCtx::flat(meta, flat_snapshot(loaded)?),
-            );
-        }
+        let coarse = schedule
+            .downsample_factor(sim.grid_px())
+            .and_then(|factor| {
+                let coarse_target = target.map(|&v| v.to_f64()).downsample(factor).binarize(0.5);
+                (coarse_target.sum() != 0.0).then_some((factor, coarse_target))
+            });
+        let Some((factor, coarse_target)) = coarse else {
+            let resume = resume_point(loaded, false)?.0;
+            return self.run(sim, target, None, resume, self.max_iterations, flat);
+        };
         let coarse_target = coarse_target.map(|&v| T::from_f64(v));
 
-        // Split a loaded checkpoint into the stage it re-enters. The
-        // config hash has already pinned the schedule, so a Flat-stage
-        // file reaching this point can only be a tampered file.
-        let (coarse_resume, fine_resume) = match loaded {
-            None => (None, None),
-            Some(ck) => match ck.stage {
-                StageTag::Coarse => (Some(ck.snapshot), None),
-                StageTag::Fine => {
-                    let carry = ck.carry.ok_or_else(|| {
-                        CheckpointError::Malformed("fine-stage checkpoint lost its carry".into())
-                    })?;
-                    (None, Some((ck.snapshot, carry)))
-                }
-                StageTag::Flat => {
-                    return Err(CheckpointError::Malformed(
-                        "flat-stage checkpoint for a scheduled run".into(),
-                    )
-                    .into())
-                }
-            },
-        };
+        let (coarse_resume, fine_resume) = resume_point(loaded, true)?;
 
         // Coarse stage — skipped entirely when resuming inside fine.
         let (psi0, carry, fine_snapshot) = match fine_resume {
@@ -576,18 +547,18 @@ impl LevelSetIlt {
 
                 let coarse = {
                     let _span = lsopc_trace::span!("optimize.stage.coarse");
+                    let ctx = StageCtx {
+                        stage: StageTag::Coarse,
+                        ..flat
+                    };
+                    let iterations = schedule.coarse_iterations();
                     self.run(
                         &coarse_sim,
                         &coarse_target,
                         None,
-                        schedule.coarse_iterations(),
-                        StageCtx {
-                            meta,
-                            stage: StageTag::Coarse,
-                            iter_offset: 0,
-                            resume: coarse_resume,
-                            carry: None,
-                        },
+                        coarse_resume,
+                        iterations,
+                        ctx,
                     )?
                 };
                 // A stop during the coarse stage: report the best-so-far
@@ -595,18 +566,14 @@ impl LevelSetIlt {
                 // the checkpoint still tagged Coarse for resume.
                 if coarse.stopped.is_some() {
                     let levelset = upsample_levelset(&coarse.levelset, factor);
-                    let mask = mask_from_levelset(&levelset);
                     return Ok(IltResult {
-                        mask,
+                        mask: mask_from_levelset(&levelset),
                         levelset,
-                        history: coarse.history,
-                        iterations: coarse.iterations,
                         coarse_iterations: coarse.iterations,
                         converged: false,
                         runtime_s: start.elapsed().as_secs_f64(),
                         snapshots: Vec::new(),
-                        diagnostics: coarse.diagnostics,
-                        stopped: coarse.stopped,
+                        ..coarse
                     });
                 }
                 // Carry the contour (not the far field) across:
@@ -624,19 +591,14 @@ impl LevelSetIlt {
 
         let fine = {
             let _span = lsopc_trace::span!("optimize.stage.fine");
-            self.run(
-                sim,
-                target,
-                psi0,
-                schedule.fine_iterations(),
-                StageCtx {
-                    meta,
-                    stage: StageTag::Fine,
-                    iter_offset: carry.iterations,
-                    resume: fine_snapshot,
-                    carry: Some(carry.clone()),
-                },
-            )?
+            let ctx = StageCtx {
+                stage: StageTag::Fine,
+                iter_offset: carry.iterations,
+                carry: Some(&carry),
+                ..flat
+            };
+            let iterations = schedule.fine_iterations();
+            self.run(sim, target, psi0, fine_snapshot, iterations, ctx)?
         };
 
         // Merge the stage records into one timeline: fine iterations and
@@ -663,576 +625,467 @@ impl LevelSetIlt {
             .map(|(i, m)| (i + coarse_iterations, m))
             .collect();
         Ok(IltResult {
-            mask: fine.mask,
-            levelset: fine.levelset,
             history,
             iterations: coarse_iterations + fine.iterations,
             coarse_iterations,
-            converged: fine.converged,
             runtime_s: start.elapsed().as_secs_f64(),
             snapshots,
             diagnostics,
-            stopped: fine.stopped,
+            ..fine
         })
     }
 
-    /// The Algorithm 1 loop itself. `target` is already validated and
-    /// binarized; ψ₀ is `init` when given (warm start / fine stage) and
-    /// the target's signed distance otherwise. With `init = None`,
-    /// `max_iterations = self.max_iterations` and a default control
-    /// this is the historical `optimize` body, bit for bit.
+    /// The Algorithm 1 loop of one stage. `target` is already validated
+    /// and binarized; ψ₀ is `init` when given (warm start / fine stage)
+    /// and the target's signed distance otherwise.
     ///
     /// The stage context supplies the run-lifecycle hooks: the control
     /// is polled at every iteration boundary (before any work of that
-    /// iteration), state is checkpointed every `checkpoint-every`
-    /// iterations and at a graceful stop, and `ctx.resume` replaces the
-    /// initialization with the captured loop state so the remaining
+    /// iteration), and state is checkpointed every `checkpoint-every`
+    /// iterations and at a graceful stop. `resume` replaces the
+    /// initialization with a captured loop state, so the remaining
     /// iterations replay the identical floating-point stream.
     fn run<T: Scalar>(
         &self,
         sim: &LithoSimulator<T>,
         target: &Grid<T>,
         init: Option<Grid<T>>,
+        resume: Option<LoopSnapshot>,
         max_iterations: usize,
-        mut ctx: StageCtx<'_>,
+        ctx: StageCtx<'_>,
     ) -> Result<IltResult<T>, OptimizeError> {
-        let n = sim.grid_px();
         let start = Instant::now();
         // Line 1: ψ₀ from the initial mask M₀ = R* — unless a warm
         // start or a fine stage supplied one.
-        let mut psi = match init {
-            Some(psi0) => psi0,
-            None => signed_distance(target),
-        };
-        let mut history = Vec::with_capacity(max_iterations);
-        let mut snapshots = Vec::new();
-        let mut prev_gradient_velocity: Option<Grid<T>> = None;
-        let mut prev_velocity: Option<Grid<T>> = None;
-        let mut best: Option<(f64, Grid<T>, Grid<T>)> = None;
-        let mut converged = false;
-        let mut iterations = 0;
-        let mut stopped: Option<StopReason> = None;
-        // The health guard (None with RecoveryPolicy::Off — the loop then
-        // follows the historical code path exactly) and its checkpoint:
-        // the last pre-evolve ψ that passed every per-iteration check.
-        let mut guard = HealthGuard::from_policy(&self.recovery);
-        let mut guard_checkpoint: Option<Grid<T>> = None;
-        let mut start_iter = 0;
-
-        // Resume: overwrite the freshly initialized state with the
-        // checkpointed one. Everything is stored in f64; the narrowing
-        // map is the exact inverse of the widening one at T = f64.
-        if let Some(snap) = ctx.resume.take() {
-            if snap.psi.dims() != (n, n) {
-                return Err(CheckpointError::Malformed(format!(
-                    "checkpoint ψ is {}×{}, stage grid is {n}×{n}",
-                    snap.psi.dims().0,
-                    snap.psi.dims().1
-                ))
-                .into());
-            }
-            let narrow = |g: &Grid<f64>| g.map(|&v| T::from_f64(v));
-            start_iter = snap.next_iteration;
-            iterations = snap.next_iteration;
-            psi = narrow(&snap.psi);
-            prev_gradient_velocity = snap.prev_gradient_velocity.as_ref().map(narrow);
-            prev_velocity = snap.prev_velocity.as_ref().map(narrow);
-            // The loop only ever stores best = (cost, mask_from_levelset(ψ), ψ),
-            // so recomputing the mask from the stored ψ is exact.
-            best = snap.best.as_ref().map(|(cost, bpsi)| {
-                let bpsi = narrow(bpsi);
-                (*cost, mask_from_levelset(&bpsi), bpsi)
-            });
-            match (guard.as_mut(), snap.guard) {
-                (Some(g), Some(gs)) => g.restore(gs),
-                (None, None) => {}
-                _ => {
-                    return Err(CheckpointError::Malformed(
-                        "checkpoint guard state does not match the recovery policy".into(),
-                    )
-                    .into())
-                }
-            }
-            guard_checkpoint = snap.guard_checkpoint.as_ref().map(narrow);
-            history = snap.history;
-            snapshots = snap
-                .snapshots
-                .iter()
-                .map(|(i, m)| (*i, narrow(m)))
-                .collect();
+        let psi = init.unwrap_or_else(|| signed_distance(target));
+        let mut state = LoopState::new(psi, &self.recovery);
+        if let Some(snap) = resume {
+            state.restore(snap)?;
         }
-
-        'iterate: for i in start_iter..max_iterations {
+        let mut converged = false;
+        let mut stopped = None;
+        while state.iteration < max_iterations {
+            let i = state.iteration;
             let _iter_span = lsopc_trace::span!("optimize.iter");
             // Cancellation point: poll the run control before this
             // iteration does any work (this also covers CG restarts and
             // the first iteration after a stage transfer). The stop is
             // graceful — the state at this boundary is checkpointed and
-            // the best-so-far mask is still reported below.
-            if let Some(reason) = ctx.meta.control.stop_requested(ctx.iter_offset + i) {
+            // the best-so-far mask is still reported.
+            if let Some(reason) = ctx.control.stop_requested(ctx.iter_offset + i) {
                 stopped = Some(reason);
                 lsopc_trace::count("run.cancel", 1);
                 lsopc_trace::count(reason.counter_name(), 1);
-                if let Some(spec) = ctx.meta.control.checkpoint.as_ref() {
-                    save_loop_checkpoint(
-                        spec,
-                        ctx.meta.config_hash,
-                        ctx.stage,
-                        ctx.carry.as_ref(),
-                        i,
-                        &psi,
-                        prev_gradient_velocity.as_ref(),
-                        prev_velocity.as_ref(),
-                        best.as_ref(),
-                        guard.as_ref(),
-                        guard_checkpoint.as_ref(),
-                        &history,
-                        &snapshots,
-                    );
-                }
-                break 'iterate;
-            }
-            iterations = i + 1;
-            // Line 7 (Eq. (6)): current binary mask from ψ.
-            let mask = mask_from_levelset(&psi);
-            if self.snapshot_interval > 0 && i % self.snapshot_interval == 0 {
-                snapshots.push((i, mask.clone()));
-            }
-            // Effective λ_t: halved per guard backoff. With the guard on
-            // but never triggered the scale is exactly 1.0, so the
-            // multiply reproduces `self.lambda_t` bit-for-bit.
-            let lambda_scale = guard.as_ref().map_or(1.0, |g| g.lambda_scale());
-            let effective_lambda_t = match guard.as_ref() {
-                Some(g) => self.lambda_t * g.lambda_scale(),
-                None => self.lambda_t,
-            };
-
-            // Lines 8–9: simulate, evaluate, back-propagate (Eq. (11)/(14)).
-            // With the guard on, a worker-pool panic re-raised by
-            // lsopc-parallel is contained here and handled as trouble
-            // instead of aborting the process.
-            let evaluated = match guard {
-                Some(_) => catch_unwind(AssertUnwindSafe(|| {
-                    cost_and_gradient(sim, &mask, target, self.w_pvb)
-                })),
-                None => Ok(cost_and_gradient(sim, &mask, target, self.w_pvb)),
-            };
-            let (report, gradient, mut verdict) = match evaluated {
-                Ok((report, gradient)) => (report, gradient, Health::Healthy),
-                Err(payload) => (
-                    CostReport {
-                        nominal: f64::NAN,
-                        pvb: f64::NAN,
-                        w_pvb: self.w_pvb,
-                    },
-                    Grid::new(n, n, T::from_f64(f64::NAN)),
-                    Health::Corrupt(GuardEventKind::WorkerPanic {
-                        message: panic_message(payload),
-                    }),
-                ),
-            };
-            if matches!(verdict, Health::Healthy) {
-                if let Some(g) = guard.as_mut() {
-                    verdict = g.inspect_evaluation(i, report.total(), &gradient);
-                }
-            }
-
-            // Trouble at the evaluation stage: record the rejected
-            // iteration, roll ψ back to the checkpoint and retry with a
-            // halved λ_t and a CG restart — or give up.
-            if let Health::Corrupt(kind) = &verdict {
-                if let Some(g) = guard.as_mut() {
-                    let outcome = g.trouble(i, kind.clone());
-                    history.push(IterationRecord {
-                        iteration: i,
-                        cost_nominal: report.nominal,
-                        cost_pvb: report.pvb,
-                        cost_total: report.total(),
-                        max_velocity: f64::NAN,
-                        time_step: f64::NAN,
-                        cg_beta: 0.0,
-                        elapsed_s: start.elapsed().as_secs_f64(),
-                        rolled_back: true,
-                        backoffs: g.diagnostics.backoffs,
-                        lambda_scale: g.lambda_scale(),
-                    });
-                    emit_iter(history.last());
-                    match outcome {
-                        BackoffOutcome::Retry => {
-                            // With no checkpoint yet, ψ is still the
-                            // untouched initial signed distance.
-                            if let Some(cp) = &guard_checkpoint {
-                                psi = cp.clone();
-                            }
-                            prev_gradient_velocity = None;
-                            prev_velocity = None;
-                            continue 'iterate;
-                        }
-                        BackoffOutcome::GiveUp => {
-                            if self.recovery.is_strict() {
-                                return Err(OptimizeError::RecoveryFailed {
-                                    iteration: i,
-                                    backoffs: g.diagnostics.backoffs,
-                                });
-                            }
-                            if let Some(cp) = &guard_checkpoint {
-                                psi = cp.clone();
-                            }
-                            break 'iterate;
-                        }
-                    }
-                }
-            }
-
-            // Best-tracking: only evaluations the guard accepted (or all
-            // of them with the guard off) can become the returned mask.
-            if best.as_ref().is_none_or(|(c, _, _)| report.total() < *c) {
-                best = Some((report.total(), mask.clone(), psi.clone()));
-            }
-
-            // Eq. (10) up to sign: with the Eq. (5)/(6) convention
-            // (ψ ≤ 0 inside, M = H(−ψ)) we have ∂L/∂ψ = −G·δ(ψ), so the
-            // descent update is ψ̇ = +G·|∇ψ| — the sign printed in
-            // Eq. (10) corresponds to the opposite inside/outside
-            // convention (see DESIGN.md §7).
-            let gradmag = if self.upwind {
-                godunov_gradient(&psi, &gradient)
-            } else {
-                gradient_magnitude(&psi)
-            };
-            // The gradient-velocity g_i = G·|∇ψ| drives both the descent
-            // direction and the PRP coefficient.
-            let gradient_velocity = gradient.zip_map(&gradmag, |&g, &m| g * m);
-            let mut velocity = gradient_velocity.clone();
-
-            // Eq. (15)–(16): combine with the previous velocity according
-            // to the configured evolution scheme.
-            let mut beta = 0.0;
-            match self.evolution {
-                Evolution::Plain => {}
-                Evolution::PrpConjugateGradient => {
-                    if let (Some(g_prev), Some(v_prev)) =
-                        (prev_gradient_velocity.as_ref(), prev_velocity.as_ref())
-                    {
-                        beta = prp_beta(&gradient_velocity, g_prev);
-                        if beta > 0.0 {
-                            let beta_t = T::from_f64(beta);
-                            for (v, &pv) in
-                                velocity.as_mut_slice().iter_mut().zip(v_prev.as_slice())
-                            {
-                                *v += beta_t * pv;
-                            }
-                        }
-                    }
-                }
-                Evolution::HeavyBall { beta: momentum } => {
-                    if let Some(v_prev) = prev_velocity.as_ref() {
-                        beta = momentum;
-                        let momentum_t = T::from_f64(momentum);
-                        for (v, &pv) in velocity.as_mut_slice().iter_mut().zip(v_prev.as_slice()) {
-                            *v += momentum_t * pv;
-                        }
-                    }
-                }
-            }
-
-            // Optional contour smoothing (extension beyond the paper).
-            if self.curvature_weight > 0.0 {
-                let kappa = curvature(&psi);
-                let central = gradient_magnitude(&psi);
-                let weight = T::from_f64(self.curvature_weight);
-                for ((v, &k), &m) in velocity
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(kappa.as_slice())
-                    .zip(central.as_slice())
-                {
-                    *v += weight * k * m;
-                }
-            }
-
-            // Optional narrow-band restriction (extension beyond the
-            // paper): freeze the far field so only near-contour cells
-            // evolve.
-            if self.narrow_band > 0.0 {
-                NarrowBand::extract(&psi, self.narrow_band).mask_velocity(&mut velocity);
-            }
-
-            // A combined velocity with NaN/∞ cells (e.g. momentum carried
-            // from a corrupt history) must never evolve ψ.
-            if let Some(g) = guard.as_mut() {
-                if let Some(kind) = g.inspect_velocity(&velocity) {
-                    let outcome = g.trouble(i, kind);
-                    history.push(IterationRecord {
-                        iteration: i,
-                        cost_nominal: report.nominal,
-                        cost_pvb: report.pvb,
-                        cost_total: report.total(),
-                        max_velocity: f64::NAN,
-                        time_step: f64::NAN,
-                        cg_beta: beta,
-                        elapsed_s: start.elapsed().as_secs_f64(),
-                        rolled_back: true,
-                        backoffs: g.diagnostics.backoffs,
-                        lambda_scale: g.lambda_scale(),
-                    });
-                    emit_iter(history.last());
-                    match outcome {
-                        BackoffOutcome::Retry => {
-                            if let Some(cp) = &guard_checkpoint {
-                                psi = cp.clone();
-                            }
-                            prev_gradient_velocity = None;
-                            prev_velocity = None;
-                            continue 'iterate;
-                        }
-                        BackoffOutcome::GiveUp => {
-                            if self.recovery.is_strict() {
-                                return Err(OptimizeError::RecoveryFailed {
-                                    iteration: i,
-                                    backoffs: g.diagnostics.backoffs,
-                                });
-                            }
-                            if let Some(cp) = &guard_checkpoint {
-                                psi = cp.clone();
-                            }
-                            break 'iterate;
-                        }
-                    }
-                }
-            }
-
-            let vmax = max_abs(&velocity).to_f64();
-            let dt = cfl_time_step(&velocity, effective_lambda_t);
-            history.push(IterationRecord {
-                iteration: i,
-                cost_nominal: report.nominal,
-                cost_pvb: report.pvb,
-                cost_total: report.total(),
-                max_velocity: vmax,
-                time_step: dt,
-                cg_beta: beta,
-                elapsed_s: start.elapsed().as_secs_f64(),
-                rolled_back: false,
-                backoffs: guard.as_ref().map_or(0, |g| g.diagnostics.backoffs),
-                lambda_scale,
-            });
-            emit_iter(history.last());
-
-            // Stall: healthy values but no cost progress for the window.
-            // Backing off cannot unstall a frozen run, so stop early.
-            if let Health::Stalled(kind) = verdict {
-                if let Some(g) = guard.as_mut() {
-                    g.note_event(i, kind);
-                }
-                break 'iterate;
-            }
-
-            // Algorithm 1 stop condition: max|v| ≤ ε.
-            if vmax <= self.velocity_tolerance {
-                converged = true;
+                ctx.save(&state);
                 break;
             }
-
-            // Commit the guard checkpoint: this pre-evolve ψ passed
-            // every check and its cost is on record; a corrupted evolve
-            // rolls back to exactly here.
-            if guard.is_some() {
-                guard_checkpoint = Some(psi.clone());
-            }
-
-            // Lines 5–6: CFL step and evolution, optionally guarded by a
-            // backtracking line search on the total cost.
-            if self.line_search {
-                let _ls_span = lsopc_trace::span!("optimize.line_search");
-                let mut trial_dt = dt;
-                let mut accepted = false;
-                for _ in 0..3 {
-                    let mut trial_psi = psi.clone();
-                    evolve(&mut trial_psi, &velocity, trial_dt);
-                    let trial_mask = mask_from_levelset(&trial_psi);
-                    let trial_cost = match guard.as_mut() {
-                        Some(g) => {
-                            // A contained worker panic rejects this trial
-                            // step; the post-evolve scan still protects
-                            // the fallback step below.
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                cost_only(sim, &trial_mask, target, self.w_pvb).total()
-                            })) {
-                                Ok(cost) => cost,
-                                Err(payload) => {
-                                    g.note_event(
-                                        i,
-                                        GuardEventKind::WorkerPanic {
-                                            message: panic_message(payload),
-                                        },
-                                    );
-                                    f64::INFINITY
-                                }
-                            }
-                        }
-                        None => cost_only(sim, &trial_mask, target, self.w_pvb).total(),
-                    };
-                    if trial_cost <= report.total() {
-                        psi = trial_psi;
-                        accepted = true;
-                        break;
-                    }
-                    trial_dt /= 2.0;
-                }
-                if !accepted {
-                    evolve(&mut psi, &velocity, trial_dt);
-                }
-            } else {
-                evolve(&mut psi, &velocity, dt);
-            }
-
-            // Scan ψ BEFORE reinitialization: reinit thresholds at zero
-            // and would launder NaN cells into a finite (wrong) signed
-            // distance.
-            if let Some(g) = guard.as_mut() {
-                if let Some(kind) = g.inspect_levelset(&psi) {
-                    let outcome = g.trouble(i, kind);
-                    if let Some(rec) = history.last_mut() {
-                        rec.rolled_back = true;
-                        rec.backoffs = g.diagnostics.backoffs;
-                    }
-                    match outcome {
-                        BackoffOutcome::Retry => {
-                            if let Some(cp) = &guard_checkpoint {
-                                psi = cp.clone();
-                            }
-                            prev_gradient_velocity = None;
-                            prev_velocity = None;
-                            continue 'iterate;
-                        }
-                        BackoffOutcome::GiveUp => {
-                            if self.recovery.is_strict() {
-                                return Err(OptimizeError::RecoveryFailed {
-                                    iteration: i,
-                                    backoffs: g.diagnostics.backoffs,
-                                });
-                            }
-                            if let Some(cp) = &guard_checkpoint {
-                                psi = cp.clone();
-                            }
-                            break 'iterate;
-                        }
-                    }
+            let flow = self.iterate(sim, target, &mut state, start)?;
+            state.iteration = i + 1;
+            match flow {
+                Flow::Next => {}
+                // A rolled-back iteration skips the periodic checkpoint;
+                // the next completed one persists.
+                Flow::Retry => continue,
+                Flow::Stop => break,
+                Flow::Converged => {
+                    converged = true;
+                    break;
                 }
             }
-
-            // Keep ψ a signed distance function periodically.
-            if self.reinit_interval > 0 && (i + 1) % self.reinit_interval == 0 {
-                psi = reinitialize(&psi);
-            }
-
-            prev_gradient_velocity = Some(gradient_velocity);
-            prev_velocity = Some(velocity);
-
             // Periodic checkpoint, after every mutation of this
             // iteration is in place. Keyed on the absolute iteration
             // index so a resumed run checkpoints at the same boundaries
-            // as the original. Rollback retries skip this via their
-            // `continue` — the next completed iteration persists.
-            if let Some(spec) = ctx.meta.control.checkpoint.as_ref() {
-                if (i + 1) % spec.every == 0 {
-                    save_loop_checkpoint(
-                        spec,
-                        ctx.meta.config_hash,
-                        ctx.stage,
-                        ctx.carry.as_ref(),
-                        i + 1,
-                        &psi,
-                        prev_gradient_velocity.as_ref(),
-                        prev_velocity.as_ref(),
-                        best.as_ref(),
-                        guard.as_ref(),
-                        guard_checkpoint.as_ref(),
-                        &history,
-                        &snapshots,
-                    );
-                }
+            // as the original.
+            let every = ctx.control.checkpoint.as_ref().map(|spec| spec.every);
+            if every.is_some_and(|every| (i + 1).is_multiple_of(every)) {
+                ctx.save(&state);
+            }
+        }
+        Ok(self.finish(sim, target, state, converged, stopped, start))
+    }
+
+    /// One iteration of Algorithm 1 at `state.iteration`: evaluate,
+    /// build the descent velocity, advance ψ. Guard trouble at any of
+    /// these steps goes through [`LevelSetIlt::roll_back`].
+    fn iterate<T: Scalar>(
+        &self,
+        sim: &LithoSimulator<T>,
+        target: &Grid<T>,
+        state: &mut LoopState<T>,
+        start: Instant,
+    ) -> Result<Flow, OptimizeError> {
+        let i = state.iteration;
+        // Line 7 (Eq. (6)): current binary mask from ψ.
+        let mask = mask_from_levelset(&state.psi);
+        if self.snapshot_interval > 0 && i.is_multiple_of(self.snapshot_interval) {
+            state.snapshots.push((i, mask.clone()));
+        }
+        // Effective λ_t: halved per guard backoff. With the guard on
+        // but never triggered the scale is exactly 1.0, so the multiply
+        // reproduces `self.lambda_t` bit-for-bit.
+        let lambda_scale = state.guard.as_ref().map_or(1.0, HealthGuard::lambda_scale);
+        let (report, gradient, verdict) = self.evaluate(sim, target, &mask, state);
+        // This iteration's record before any step is taken — as a
+        // rollback leaves it (`roll_back` fills in the backoff count and
+        // scale) and as the healthy record below starts from.
+        let record = |cg_beta| IterationRecord {
+            iteration: i,
+            cost_nominal: report.nominal,
+            cost_pvb: report.pvb,
+            cost_total: report.total(),
+            max_velocity: f64::NAN,
+            time_step: f64::NAN,
+            cg_beta,
+            elapsed_s: start.elapsed().as_secs_f64(),
+            rolled_back: true,
+            backoffs: 0,
+            lambda_scale,
+        };
+        let stalled = match verdict {
+            Health::Corrupt(kind) => return self.roll_back(state, kind, Some(record(0.0))),
+            Health::Stalled(kind) => Some(kind),
+            Health::Healthy => None,
+        };
+
+        // Best-tracking: only evaluations the guard accepted (or all
+        // of them with the guard off) can become the returned mask.
+        let cost = report.total();
+        if state.best.as_ref().is_none_or(|(c, _, _)| cost < *c) {
+            state.best = Some((cost, mask, state.psi.clone()));
+        }
+
+        let (gradient_velocity, velocity, beta) = self.descent_velocity(state, &gradient);
+        // A combined velocity with NaN/∞ cells (e.g. momentum carried
+        // from a corrupt history) must never evolve ψ.
+        let guard = state.guard.as_ref();
+        if let Some(kind) = guard.and_then(|g| g.inspect_velocity(&velocity)) {
+            return self.roll_back(state, kind, Some(record(beta)));
+        }
+
+        let vmax = max_abs(&velocity).to_f64();
+        let dt = cfl_time_step(&velocity, self.lambda_t * lambda_scale);
+        let rec = IterationRecord {
+            max_velocity: vmax,
+            time_step: dt,
+            rolled_back: false,
+            backoffs: state.guard.as_ref().map_or(0, |g| g.diagnostics.backoffs),
+            ..record(beta)
+        };
+        emit_iter(&rec);
+        state.history.push(rec);
+
+        // Stall (only the guard detects one): healthy values but no cost
+        // progress for the window. Backing off cannot unstall a frozen
+        // run, so stop early.
+        if let (Some(kind), Some(g)) = (stalled, state.guard.as_mut()) {
+            g.note_event(i, kind);
+            return Ok(Flow::Stop);
+        }
+        // Algorithm 1 stop condition: max|v| ≤ ε.
+        if vmax <= self.velocity_tolerance {
+            return Ok(Flow::Converged);
+        }
+        // Commit the guard checkpoint: this pre-evolve ψ passed every
+        // check and its cost is on record; a corrupted evolve rolls
+        // back to exactly here.
+        if state.guard.is_some() {
+            state.guard_checkpoint = Some(state.psi.clone());
+        }
+        let flow = self.advance(sim, target, state, &velocity, dt, cost)?;
+        if flow == Flow::Next {
+            // Keep ψ a signed distance function periodically.
+            if self.reinit_interval > 0 && (i + 1).is_multiple_of(self.reinit_interval) {
+                state.psi = reinitialize(&state.psi);
+            }
+            state.prev_gradient_velocity = Some(gradient_velocity);
+            state.prev_velocity = Some(velocity);
+        }
+        Ok(flow)
+    }
+
+    /// Lines 8–9: simulate, evaluate and back-propagate (Eq. (11)/(14)),
+    /// then let the guard classify the evaluation. With the guard on, a
+    /// worker-pool panic is contained here and classified as corrupt.
+    fn evaluate<T: Scalar>(
+        &self,
+        sim: &LithoSimulator<T>,
+        target: &Grid<T>,
+        mask: &Grid<T>,
+        state: &mut LoopState<T>,
+    ) -> (CostReport, Grid<T>, Health) {
+        let evaluated = contain(state.guard.is_some(), || {
+            cost_and_gradient(sim, mask, target, self.w_pvb)
+        });
+        match evaluated {
+            Ok((report, gradient)) => {
+                let verdict = match state.guard.as_mut() {
+                    Some(g) => g.inspect_evaluation(state.iteration, report.total(), &gradient),
+                    None => Health::Healthy,
+                };
+                (report, gradient, verdict)
+            }
+            Err(message) => {
+                let n = sim.grid_px();
+                let report = CostReport {
+                    nominal: f64::NAN,
+                    pvb: f64::NAN,
+                    w_pvb: self.w_pvb,
+                };
+                let verdict = Health::Corrupt(GuardEventKind::WorkerPanic { message });
+                (report, Grid::new(n, n, T::from_f64(f64::NAN)), verdict)
+            }
+        }
+    }
+
+    /// The descent velocity of Eq. (10), combined with the previous
+    /// velocity per the evolution scheme (Eq. (15)–(16)), plus the
+    /// optional curvature and narrow-band extensions. Returns the
+    /// gradient velocity (the next PRP coefficient's input), the
+    /// combined velocity and the β applied.
+    fn descent_velocity<T: Scalar>(
+        &self,
+        state: &LoopState<T>,
+        gradient: &Grid<T>,
+    ) -> (Grid<T>, Grid<T>, f64) {
+        let psi = &state.psi;
+        // Eq. (10) up to sign: with the Eq. (5)/(6) convention
+        // (ψ ≤ 0 inside, M = H(−ψ)) we have ∂L/∂ψ = −G·δ(ψ), so the
+        // descent update is ψ̇ = +G·|∇ψ| — the sign printed in
+        // Eq. (10) corresponds to the opposite inside/outside
+        // convention (see DESIGN.md §7).
+        let gradmag = if self.upwind {
+            godunov_gradient(psi, gradient)
+        } else {
+            gradient_magnitude(psi)
+        };
+        // The gradient-velocity g_i = G·|∇ψ| drives both the descent
+        // direction and the PRP coefficient.
+        let gradient_velocity = gradient.zip_map(&gradmag, |&g, &m| g * m);
+        let mut velocity = gradient_velocity.clone();
+
+        // Eq. (15)–(16): carry the previous velocity per the evolution
+        // scheme — PRP only with a positive coefficient.
+        let prev = (
+            state.prev_gradient_velocity.as_ref(),
+            state.prev_velocity.as_ref(),
+        );
+        let (beta, carried) = match (self.evolution, prev) {
+            (Evolution::PrpConjugateGradient, (Some(g_prev), Some(v_prev))) => {
+                let beta = prp_beta(&gradient_velocity, g_prev);
+                (beta, (beta > 0.0).then_some(v_prev))
+            }
+            (Evolution::HeavyBall { beta }, (_, Some(v_prev))) => (beta, Some(v_prev)),
+            _ => (0.0, None),
+        };
+        if let Some(v_prev) = carried {
+            let beta_t = T::from_f64(beta);
+            for (v, &pv) in velocity.as_mut_slice().iter_mut().zip(v_prev.as_slice()) {
+                *v += beta_t * pv;
             }
         }
 
-        // Evaluate the final iterate too, then return the best mask seen.
-        // With the guard on, a panic or non-finite cost here must not
-        // pick the (corrupt) final iterate.
-        let final_mask = mask_from_levelset(&psi);
-        let final_evaluated = match guard {
-            Some(_) => catch_unwind(AssertUnwindSafe(|| {
-                cost_and_gradient(sim, &final_mask, target, self.w_pvb)
-            })),
-            None => Ok(cost_and_gradient(sim, &final_mask, target, self.w_pvb)),
-        };
-        let final_total = match final_evaluated {
-            Ok((final_report, _)) => {
-                if !final_report.total().is_finite() {
-                    if let Some(g) = guard.as_mut() {
-                        g.note_event(iterations, GuardEventKind::NonFiniteCost);
+        // Optional contour smoothing (extension beyond the paper).
+        if self.curvature_weight > 0.0 {
+            let kappa = curvature(psi);
+            let central = gradient_magnitude(psi);
+            let weight = T::from_f64(self.curvature_weight);
+            for ((v, &k), &m) in velocity
+                .as_mut_slice()
+                .iter_mut()
+                .zip(kappa.as_slice())
+                .zip(central.as_slice())
+            {
+                *v += weight * k * m;
+            }
+        }
+
+        // Optional narrow-band restriction (extension beyond the
+        // paper): freeze the far field so only near-contour cells
+        // evolve.
+        if self.narrow_band > 0.0 {
+            NarrowBand::extract(psi, self.narrow_band).mask_velocity(&mut velocity);
+        }
+        (gradient_velocity, velocity, beta)
+    }
+
+    /// Lines 5–6: evolves ψ by the CFL step `dt`, optionally under a
+    /// backtracking line search on the total cost (`cost` is this
+    /// iteration's), then lets the guard scan the evolved ψ.
+    fn advance<T: Scalar>(
+        &self,
+        sim: &LithoSimulator<T>,
+        target: &Grid<T>,
+        state: &mut LoopState<T>,
+        velocity: &Grid<T>,
+        dt: f64,
+        cost: f64,
+    ) -> Result<Flow, OptimizeError> {
+        if self.line_search {
+            let _ls_span = lsopc_trace::span!("optimize.line_search");
+            let mut trial_dt = dt;
+            let mut accepted = false;
+            for _ in 0..3 {
+                let mut trial_psi = state.psi.clone();
+                evolve(&mut trial_psi, velocity, trial_dt);
+                let trial_mask = mask_from_levelset(&trial_psi);
+                let trial = contain(state.guard.is_some(), || {
+                    cost_only(sim, &trial_mask, target, self.w_pvb).total()
+                });
+                // A contained worker panic rejects this trial step; the
+                // post-evolve scan still protects the fallback step.
+                let trial_cost = trial.unwrap_or_else(|message| {
+                    if let Some(g) = state.guard.as_mut() {
+                        g.note_event(state.iteration, GuardEventKind::WorkerPanic { message });
                     }
+                    f64::INFINITY
+                });
+                if trial_cost <= cost {
+                    state.psi = trial_psi;
+                    accepted = true;
+                    break;
                 }
-                final_report.total()
+                trial_dt /= 2.0;
             }
-            Err(payload) => {
-                if let Some(g) = guard.as_mut() {
-                    g.note_event(
-                        iterations,
-                        GuardEventKind::WorkerPanic {
-                            message: panic_message(payload),
-                        },
-                    );
-                }
-                f64::NAN
-            }
-        };
-        let (mask, levelset) = if guard.is_some() && !final_total.is_finite() {
-            match best {
-                Some((_, best_mask, best_psi)) => (best_mask, best_psi),
-                // No healthy iterate at all: under the guard ψ is still
-                // finite (every evolve was scanned or rolled back), so
-                // its mask is a safe last resort.
-                None => (final_mask, psi),
+            if !accepted {
+                evolve(&mut state.psi, velocity, trial_dt);
             }
         } else {
-            match best {
-                Some((best_cost, best_mask, best_psi)) if best_cost < final_total => {
-                    (best_mask, best_psi)
-                }
-                _ => (final_mask, psi),
+            evolve(&mut state.psi, velocity, dt);
+        }
+        // Scan ψ BEFORE reinitialization: reinit thresholds at zero and
+        // would launder NaN cells into a finite (wrong) signed distance.
+        let guard = state.guard.as_ref();
+        match guard.and_then(|g| g.inspect_levelset(&state.psi)) {
+            Some(kind) => self.roll_back(state, kind, None),
+            None => Ok(Flow::Next),
+        }
+    }
+
+    /// The guard's one rollback handler, for trouble at the evaluation,
+    /// the velocity or the evolved ψ: records it (pushing `rejected`, or
+    /// marking the iteration's already-pushed record), restores ψ to the
+    /// guard checkpoint and restarts CG. Then retries with a halved λ_t
+    /// or gives up — as [`OptimizeError::RecoveryFailed`] under
+    /// [`RecoveryPolicy::Strict`].
+    fn roll_back<T: Scalar>(
+        &self,
+        state: &mut LoopState<T>,
+        kind: GuardEventKind,
+        rejected: Option<IterationRecord>,
+    ) -> Result<Flow, OptimizeError> {
+        let i = state.iteration;
+        let guard = state.guard.as_mut().expect("trouble implies a guard");
+        let outcome = guard.trouble(i, kind);
+        let backoffs = guard.diagnostics.backoffs;
+        match rejected {
+            Some(rec) => {
+                let rec = IterationRecord {
+                    backoffs,
+                    lambda_scale: guard.lambda_scale(),
+                    ..rec
+                };
+                emit_iter(&rec);
+                state.history.push(rec);
             }
+            None => {
+                if let Some(rec) = state.history.last_mut() {
+                    rec.rolled_back = true;
+                    rec.backoffs = backoffs;
+                }
+            }
+        }
+        // With no checkpoint yet, ψ is still the untouched initial
+        // signed distance.
+        if let Some(cp) = &state.guard_checkpoint {
+            state.psi = cp.clone();
+        }
+        state.prev_gradient_velocity = None;
+        state.prev_velocity = None;
+        match outcome {
+            BackoffOutcome::Retry => Ok(Flow::Retry),
+            BackoffOutcome::GiveUp if self.recovery.is_strict() => {
+                Err(OptimizeError::RecoveryFailed {
+                    iteration: i,
+                    backoffs,
+                })
+            }
+            BackoffOutcome::GiveUp => Ok(Flow::Stop),
+        }
+    }
+
+    /// Evaluates the final iterate too, then returns the best mask seen.
+    /// With the guard on, a panic or non-finite cost here must not pick
+    /// the (corrupt) final iterate.
+    fn finish<T: Scalar>(
+        &self,
+        sim: &LithoSimulator<T>,
+        target: &Grid<T>,
+        mut state: LoopState<T>,
+        converged: bool,
+        stopped: Option<StopReason>,
+        start: Instant,
+    ) -> IltResult<T> {
+        let iterations = state.iteration;
+        let final_mask = mask_from_levelset(&state.psi);
+        let guarded = state.guard.is_some();
+        let evaluated = contain(guarded, || {
+            let (report, _) = cost_and_gradient(sim, &final_mask, target, self.w_pvb);
+            report.total()
+        });
+        let (final_total, trouble) = match evaluated {
+            Ok(cost) => (
+                cost,
+                (!cost.is_finite()).then_some(GuardEventKind::NonFiniteCost),
+            ),
+            Err(message) => (f64::NAN, Some(GuardEventKind::WorkerPanic { message })),
+        };
+        if let (Some(g), Some(kind)) = (state.guard.as_mut(), trouble) {
+            g.note_event(iterations, kind);
+        }
+        let (mask, levelset) = match state.best {
+            // Under the guard a non-finite final cost never wins. With no
+            // healthy iterate at all, ψ is still finite (every evolve was
+            // scanned or rolled back), so its mask is a safe last resort.
+            Some((_, best_mask, best_psi)) if guarded && !final_total.is_finite() => {
+                (best_mask, best_psi)
+            }
+            Some((best_cost, best_mask, best_psi)) if best_cost < final_total => {
+                (best_mask, best_psi)
+            }
+            _ => (final_mask, state.psi),
         };
         if self.snapshot_interval > 0 {
-            snapshots.push((iterations, mask.clone()));
+            state.snapshots.push((iterations, mask.clone()));
         }
-
-        Ok(IltResult {
+        IltResult {
             mask,
             levelset,
-            history,
+            history: state.history,
             iterations,
             coarse_iterations: 0,
             converged,
             runtime_s: start.elapsed().as_secs_f64(),
-            snapshots,
-            diagnostics: guard.map_or_else(SolverDiagnostics::default, |g| g.diagnostics),
+            snapshots: state.snapshots,
+            diagnostics: state.guard.map(|g| g.diagnostics).unwrap_or_default(),
             stopped,
-        })
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LevelSetIltBuilder;
     use lsopc_optics::OpticsConfig;
 
-    fn sim() -> LithoSimulator {
+    /// The 64-px, K=4 simulator the unit tests in this file run on.
+    pub(super) fn sim() -> LithoSimulator {
         LithoSimulator::from_optics(&OpticsConfig::iccad2013().with_kernel_count(4), 64, 4.0)
             .expect("valid configuration")
     }
 
-    fn wire_target() -> Grid<f64> {
+    /// One vertical wire in the 64-px field.
+    pub(super) fn wire_target() -> Grid<f64> {
         Grid::from_fn(64, 64, |x, y| {
             if (26..38).contains(&x) && (12..52).contains(&y) {
                 1.0
@@ -1242,15 +1095,18 @@ mod tests {
         })
     }
 
+    /// Optimizes the wire with `builder`'s optimizer and a default
+    /// control.
+    pub(super) fn run(builder: LevelSetIltBuilder) -> IltResult {
+        builder
+            .build()
+            .optimize(&sim(), &wire_target(), &RunControl::new())
+            .expect("optimization runs")
+    }
+
     #[test]
     fn optimization_reduces_cost() {
-        let sim = sim();
-        let target = wire_target();
-        let result = LevelSetIlt::builder()
-            .max_iterations(12)
-            .build()
-            .optimize(&sim, &target)
-            .expect("optimization runs");
+        let result = run(LevelSetIlt::builder().max_iterations(12));
         let first = result.history.first().expect("history");
         let last = result.history.last().expect("history");
         assert!(
@@ -1264,26 +1120,15 @@ mod tests {
 
     #[test]
     fn returned_mask_is_binary() {
-        let sim = sim();
-        let result = LevelSetIlt::builder()
-            .max_iterations(5)
-            .build()
-            .optimize(&sim, &wire_target())
-            .expect("optimization runs");
+        let result = run(LevelSetIlt::builder().max_iterations(5));
         assert!(result.mask.as_slice().iter().all(|&v| v == 0.0 || v == 1.0));
         assert!(result.mask.sum() > 0.0);
     }
 
     #[test]
     fn returned_mask_is_best_iterate() {
-        let sim = sim();
-        let target = wire_target();
-        let result = LevelSetIlt::builder()
-            .max_iterations(10)
-            .build()
-            .optimize(&sim, &target)
-            .expect("optimization runs");
-        let (best_report, _) = cost_and_gradient(&sim, &result.mask, &target, 1.0);
+        let result = run(LevelSetIlt::builder().max_iterations(10));
+        let (best_report, _) = cost_and_gradient(&sim(), &result.mask, &wire_target(), 1.0);
         for rec in &result.history {
             assert!(
                 best_report.total() <= rec.cost_total + 1e-9,
@@ -1295,13 +1140,9 @@ mod tests {
 
     #[test]
     fn snapshots_are_recorded() {
-        let sim = sim();
-        let result = LevelSetIlt::builder()
+        let result = run(LevelSetIlt::builder()
             .max_iterations(6)
-            .snapshot_interval(2)
-            .build()
-            .optimize(&sim, &wire_target())
-            .expect("optimization runs");
+            .snapshot_interval(2));
         // Snapshots at 0, 2, 4 plus the final mask.
         let iters: Vec<usize> = result.snapshots.iter().map(|(i, _)| *i).collect();
         assert_eq!(iters, vec![0, 2, 4, 6]);
@@ -1309,23 +1150,17 @@ mod tests {
 
     #[test]
     fn loose_tolerance_converges_early() {
-        let sim = sim();
-        let result = LevelSetIlt::builder()
+        let result = run(LevelSetIlt::builder()
             .max_iterations(30)
-            .velocity_tolerance(1e9)
-            .build()
-            .optimize(&sim, &wire_target())
-            .expect("optimization runs");
+            .velocity_tolerance(1e9));
         assert!(result.converged);
         assert_eq!(result.iterations, 1);
     }
 
     #[test]
     fn determinism() {
-        let sim = sim();
-        let opt = LevelSetIlt::builder().max_iterations(6).build();
-        let a = opt.optimize(&sim, &wire_target()).expect("run a");
-        let b = opt.optimize(&sim, &wire_target()).expect("run b");
+        let a = run(LevelSetIlt::builder().max_iterations(6));
+        let b = run(LevelSetIlt::builder().max_iterations(6));
         assert_eq!(a.mask, b.mask);
         assert_eq!(a.history.len(), b.history.len());
         for (x, y) in a.history.iter().zip(&b.history) {
@@ -1335,13 +1170,9 @@ mod tests {
 
     #[test]
     fn plain_gradient_mode_also_improves() {
-        let sim = sim();
-        let result = LevelSetIlt::builder()
+        let result = run(LevelSetIlt::builder()
             .max_iterations(12)
-            .conjugate_gradient(false)
-            .build()
-            .optimize(&sim, &wire_target())
-            .expect("optimization runs");
+            .conjugate_gradient(false));
         let first = result.history.first().expect("history");
         let last = result.history.last().expect("history");
         assert!(last.cost_total < first.cost_total);
@@ -1350,21 +1181,14 @@ mod tests {
 
     #[test]
     fn cg_runs_use_nonzero_beta_eventually() {
-        let sim = sim();
-        let result = LevelSetIlt::builder()
-            .max_iterations(12)
-            .build()
-            .optimize(&sim, &wire_target())
-            .expect("optimization runs");
+        let result = run(LevelSetIlt::builder().max_iterations(12));
         assert!(result.history.iter().any(|r| r.cg_beta > 0.0));
     }
 
     #[test]
     fn rejects_mismatched_target() {
-        let sim = sim();
-        let target = Grid::new(32, 32, 1.0);
         let err = LevelSetIlt::default()
-            .optimize(&sim, &target)
+            .optimize(&sim(), &Grid::new(32, 32, 1.0), &RunControl::new())
             .expect_err("should fail");
         assert!(matches!(err, OptimizeError::TargetDimsMismatch { .. }));
         assert!(err.to_string().contains("32x32"));
@@ -1372,10 +1196,8 @@ mod tests {
 
     #[test]
     fn rejects_empty_target() {
-        let sim = sim();
-        let target = Grid::new(64, 64, 0.0);
         let err = LevelSetIlt::default()
-            .optimize(&sim, &target)
+            .optimize(&sim(), &Grid::new(64, 64, 0.0), &RunControl::new())
             .expect_err("should fail");
         assert_eq!(err, OptimizeError::EmptyTarget);
     }
@@ -1383,33 +1205,14 @@ mod tests {
 
 #[cfg(test)]
 mod evolution_tests {
+    use super::tests::run;
     use super::*;
-    use crate::Evolution;
-    use lsopc_optics::OpticsConfig;
-
-    fn sim() -> LithoSimulator {
-        LithoSimulator::from_optics(&OpticsConfig::iccad2013().with_kernel_count(4), 64, 4.0)
-            .expect("valid configuration")
-    }
-
-    fn target() -> Grid<f64> {
-        Grid::from_fn(64, 64, |x, y| {
-            if (26..38).contains(&x) && (12..52).contains(&y) {
-                1.0
-            } else {
-                0.0
-            }
-        })
-    }
 
     #[test]
     fn heavy_ball_improves_cost() {
-        let result = LevelSetIlt::builder()
+        let result = run(LevelSetIlt::builder()
             .max_iterations(10)
-            .evolution(Evolution::HeavyBall { beta: 0.5 })
-            .build()
-            .optimize(&sim(), &target())
-            .expect("optimization runs");
+            .evolution(Evolution::HeavyBall { beta: 0.5 }));
         let first = result.history.first().expect("history");
         let last = result.history.last().expect("history");
         assert!(last.cost_total < first.cost_total);
@@ -1419,17 +1222,8 @@ mod evolution_tests {
 
     #[test]
     fn narrow_band_run_matches_full_run_closely() {
-        let full = LevelSetIlt::builder()
-            .max_iterations(8)
-            .build()
-            .optimize(&sim(), &target())
-            .expect("optimization runs");
-        let banded = LevelSetIlt::builder()
-            .max_iterations(8)
-            .narrow_band(6.0)
-            .build()
-            .optimize(&sim(), &target())
-            .expect("optimization runs");
+        let full = run(LevelSetIlt::builder().max_iterations(8));
+        let banded = run(LevelSetIlt::builder().max_iterations(8).narrow_band(6.0));
         // Contour motion only depends on near-field ψ, so both runs reach
         // comparable cost.
         assert!(banded.final_cost() < full.final_cost() * 1.5 + 1.0);
@@ -1446,24 +1240,9 @@ mod evolution_tests {
 
 #[cfg(test)]
 mod guard_tests {
+    use super::tests::run;
     use super::*;
-    use crate::{GuardConfig, RecoveryPolicy};
-    use lsopc_optics::OpticsConfig;
-
-    fn sim() -> LithoSimulator {
-        LithoSimulator::from_optics(&OpticsConfig::iccad2013().with_kernel_count(4), 64, 4.0)
-            .expect("valid configuration")
-    }
-
-    fn wire_target() -> Grid<f64> {
-        Grid::from_fn(64, 64, |x, y| {
-            if (26..38).contains(&x) && (12..52).contains(&y) {
-                1.0
-            } else {
-                0.0
-            }
-        })
-    }
+    use crate::GuardConfig;
 
     fn assert_bit_identical(off: &IltResult, on: &IltResult) {
         assert_eq!(off.iterations, on.iterations);
@@ -1508,19 +1287,10 @@ mod guard_tests {
 
     #[test]
     fn fault_free_run_is_bit_identical_with_guard_enabled() {
-        let sim = sim();
-        let target = wire_target();
-        let off = LevelSetIlt::builder()
+        let off = run(LevelSetIlt::builder().max_iterations(8));
+        let on = run(LevelSetIlt::builder()
             .max_iterations(8)
-            .build()
-            .optimize(&sim, &target)
-            .expect("guard off runs");
-        let on = LevelSetIlt::builder()
-            .max_iterations(8)
-            .recovery(RecoveryPolicy::On(GuardConfig::default()))
-            .build()
-            .optimize(&sim, &target)
-            .expect("guard on runs");
+            .recovery(RecoveryPolicy::On(GuardConfig::default())));
         assert_bit_identical(&off, &on);
         assert!(!on.diagnostics.has_events());
         assert_eq!(on.diagnostics.backoffs, 0);
@@ -1529,17 +1299,12 @@ mod guard_tests {
 
     #[test]
     fn fault_free_line_search_run_is_bit_identical_with_guard_enabled() {
-        let sim = sim();
-        let target = wire_target();
         let build = |policy: RecoveryPolicy| {
-            LevelSetIlt::builder()
+            run(LevelSetIlt::builder()
                 .max_iterations(6)
                 .lambda_t(4.0)
                 .line_search(true)
-                .recovery(policy)
-                .build()
-                .optimize(&sim, &target)
-                .expect("runs")
+                .recovery(policy))
         };
         let off = build(RecoveryPolicy::Off);
         let on = build(RecoveryPolicy::Strict(GuardConfig::default()));
@@ -1549,13 +1314,9 @@ mod guard_tests {
 
     #[test]
     fn healthy_records_carry_unit_lambda_scale() {
-        let sim = sim();
-        let result = LevelSetIlt::builder()
+        let result = run(LevelSetIlt::builder()
             .max_iterations(4)
-            .recovery(RecoveryPolicy::On(GuardConfig::default()))
-            .build()
-            .optimize(&sim, &wire_target())
-            .expect("runs");
+            .recovery(RecoveryPolicy::On(GuardConfig::default())));
         for rec in &result.history {
             assert!(!rec.rolled_back);
             assert_eq!(rec.backoffs, 0);
@@ -1565,36 +1326,202 @@ mod guard_tests {
 }
 
 #[cfg(test)]
-mod line_search_tests {
+mod step_tests {
+    use super::tests::{sim, wire_target};
     use super::*;
-    use lsopc_optics::OpticsConfig;
+    use crate::GuardConfig;
+
+    /// A guarded heavy-ball optimizer. `Strict` with no backoffs makes
+    /// the first trouble fatal.
+    fn guarded(strict: bool) -> LevelSetIlt {
+        let config = GuardConfig {
+            max_backoffs: if strict { 0 } else { 3 },
+            ..GuardConfig::default()
+        };
+        let recovery = if strict {
+            RecoveryPolicy::Strict(config)
+        } else {
+            RecoveryPolicy::On(config)
+        };
+        let evolution = Evolution::HeavyBall { beta: 0.5 };
+        LevelSetIlt::builder()
+            .evolution(evolution)
+            .recovery(recovery)
+            .build()
+    }
+
+    /// Mid-run state at iteration 2: ψ has moved off the committed
+    /// guard checkpoint and CG state is carried.
+    fn mid_run(ilt: &LevelSetIlt) -> LoopState<f64> {
+        let checkpoint = signed_distance(&wire_target());
+        let mut state = LoopState::new(checkpoint.map(|&v| v + 0.25), &ilt.recovery);
+        state.iteration = 2;
+        state.guard_checkpoint = Some(checkpoint);
+        state.prev_gradient_velocity = Some(Grid::new(64, 64, 0.0));
+        state.prev_velocity = Some(Grid::new(64, 64, 0.0));
+        state
+    }
+
+    fn record(iteration: usize) -> IterationRecord {
+        IterationRecord {
+            iteration,
+            cost_nominal: 0.1,
+            cost_pvb: 0.2,
+            cost_total: 0.3,
+            max_velocity: 0.4,
+            time_step: 0.5,
+            cg_beta: 0.5,
+            elapsed_s: 0.7,
+            rolled_back: false,
+            backoffs: 0,
+            lambda_scale: 1.0,
+        }
+    }
+
+    /// The single handler's contract, whichever site called it: ψ back
+    /// at the guard checkpoint, CG restarted, one rolled-back record
+    /// (of `records` in all), the site's event logged, and a retry — or
+    /// `RecoveryFailed` under `Strict`.
+    fn assert_rolled_back(
+        state: &LoopState<f64>,
+        flow: Result<Flow, OptimizeError>,
+        strict: bool,
+        records: usize,
+        kind: GuardEventKind,
+    ) {
+        assert_eq!(Some(&state.psi), state.guard_checkpoint.as_ref());
+        assert!(state.prev_gradient_velocity.is_none() && state.prev_velocity.is_none());
+        assert_eq!(state.history.len(), records);
+        assert_eq!(state.history.iter().filter(|r| r.rolled_back).count(), 1);
+        let events = &state.guard.as_ref().expect("guarded").diagnostics.events;
+        assert_eq!(events[0].kind, kind);
+        match flow {
+            Ok(flow) => assert!(!strict && flow == Flow::Retry, "{flow:?}"),
+            Err(e) => assert!(
+                strict && matches!(e, OptimizeError::RecoveryFailed { iteration: 2, .. }),
+                "{e}"
+            ),
+        }
+    }
+
+    #[test]
+    fn non_finite_carried_velocity_rolls_back() {
+        for strict in [false, true] {
+            let ilt = guarded(strict);
+            let mut state = mid_run(&ilt);
+            let mut momentum = Grid::new(64, 64, 0.0);
+            momentum[(10, 10)] = f64::NAN;
+            state.prev_velocity = Some(momentum);
+            let flow = ilt.iterate(&sim(), &wire_target(), &mut state, Instant::now());
+            // The rejected iteration's record is added.
+            let kind = GuardEventKind::NonFiniteVelocity;
+            assert_rolled_back(&state, flow, strict, 1, kind);
+        }
+    }
+
+    #[test]
+    fn non_finite_evolved_levelset_rolls_back() {
+        for strict in [false, true] {
+            let ilt = guarded(strict);
+            let mut state = mid_run(&ilt);
+            // The iteration's own record, pushed before its step, is the
+            // one marked.
+            state.history.push(record(2));
+            // A NaN time step evolves every cell of ψ to NaN.
+            let velocity = Grid::new(64, 64, 1.0);
+            let flow = ilt.advance(&sim(), &wire_target(), &mut state, &velocity, f64::NAN, 0.3);
+            let kind = GuardEventKind::NonFiniteLevelSet;
+            assert_rolled_back(&state, flow, strict, 1, kind);
+        }
+    }
+
+    /// A state with every field populated, guard history included.
+    fn populated<T: Scalar>() -> LoopState<T> {
+        let grid = |seed: f64| {
+            Grid::from_fn(8, 8, |x, y| {
+                T::from_f64(seed + (x * 8 + y) as f64 * 0.37 - 7.1)
+            })
+        };
+        let mut state = LoopState::new(grid(0.5), &RecoveryPolicy::On(GuardConfig::default()));
+        state.iteration = 5;
+        state.prev_gradient_velocity = Some(grid(1.5));
+        state.prev_velocity = Some(grid(2.5));
+        let best_psi = grid(-3.0);
+        state.best = Some((0.125, mask_from_levelset(&best_psi), best_psi));
+        state.guard_checkpoint = Some(grid(4.5));
+        state.snapshots = vec![(0, mask_from_levelset(&grid(0.5)))];
+        let guard = state.guard.as_mut().expect("guarded");
+        guard.trouble(3, GuardEventKind::NonFiniteVelocity);
+        state.history = vec![record(3)];
+        state
+    }
+
+    /// Every field of `restore(snapshot())`, compared bitwise.
+    fn round_trip<T: Scalar>() {
+        let a = populated::<T>();
+        let policy = RecoveryPolicy::On(GuardConfig::default());
+        let mut b = LoopState::new(Grid::new(8, 8, T::ZERO), &policy);
+        b.restore(a.snapshot()).expect("same grid and policy");
+        let bits = |g: &Grid<T>| -> Vec<u64> {
+            g.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
+        };
+        let opt = |g: &Option<Grid<T>>| g.as_ref().map(bits);
+        assert_eq!(a.iteration, b.iteration);
+        assert_eq!(bits(&a.psi), bits(&b.psi));
+        assert_eq!(
+            opt(&a.prev_gradient_velocity),
+            opt(&b.prev_gradient_velocity)
+        );
+        assert_eq!(opt(&a.prev_velocity), opt(&b.prev_velocity));
+        let best = |s: &LoopState<T>| {
+            let (cost, mask, psi) = s.best.as_ref().expect("best");
+            (cost.to_bits(), bits(mask), bits(psi))
+        };
+        assert_eq!(best(&a), best(&b));
+        let guard = |s: &LoopState<T>| s.guard.as_ref().map(HealthGuard::snapshot);
+        assert_eq!(guard(&a), guard(&b));
+        assert_eq!(opt(&a.guard_checkpoint), opt(&b.guard_checkpoint));
+        assert_eq!(a.history, b.history);
+        let snaps = |s: &LoopState<T>| -> Vec<(usize, Vec<u64>)> {
+            s.snapshots.iter().map(|(i, m)| (*i, bits(m))).collect()
+        };
+        assert_eq!(snaps(&a), snaps(&b));
+    }
+
+    #[test]
+    fn loop_state_round_trip_is_bit_exact_at_f64() {
+        round_trip::<f64>();
+    }
+
+    #[test]
+    fn loop_state_round_trip_is_exact_at_f32() {
+        round_trip::<f32>();
+    }
+
+    #[test]
+    fn restore_rejects_another_grid_or_policy() {
+        let snapshot = populated::<f64>().snapshot();
+        let policy = RecoveryPolicy::On(GuardConfig::default());
+        let mut wrong_grid = LoopState::new(Grid::new(4, 4, 0.0), &policy);
+        assert!(wrong_grid.restore(snapshot.clone()).is_err());
+        let mut unguarded = LoopState::new(Grid::new(8, 8, 0.0), &RecoveryPolicy::Off);
+        assert!(unguarded.restore(snapshot).is_err());
+    }
+}
+
+#[cfg(test)]
+mod line_search_tests {
+    use super::tests::run;
+    use super::*;
 
     #[test]
     fn line_search_never_does_worse_than_plain() {
-        let sim =
-            LithoSimulator::from_optics(&OpticsConfig::iccad2013().with_kernel_count(4), 64, 4.0)
-                .expect("valid configuration");
-        let target = Grid::from_fn(64, 64, |x, y| {
-            if (26..38).contains(&x) && (12..52).contains(&y) {
-                1.0
-            } else {
-                0.0
-            }
-        });
         // A deliberately aggressive step makes plain evolution overshoot.
-        let plain = LevelSetIlt::builder()
+        let plain = run(LevelSetIlt::builder().max_iterations(8).lambda_t(4.0));
+        let guarded = run(LevelSetIlt::builder()
             .max_iterations(8)
             .lambda_t(4.0)
-            .build()
-            .optimize(&sim, &target)
-            .expect("runs");
-        let guarded = LevelSetIlt::builder()
-            .max_iterations(8)
-            .lambda_t(4.0)
-            .line_search(true)
-            .build()
-            .optimize(&sim, &target)
-            .expect("runs");
+            .line_search(true));
         // Line search makes the cost trace (nearly) monotone; the
         // unguarded aggressive steps oscillate more.
         let increases = |history: &[crate::IterationRecord]| {
@@ -1617,42 +1544,46 @@ mod line_search_tests {
 
 #[cfg(test)]
 mod schedule_tests {
+    use super::tests::{run, sim as sim_64, wire_target};
     use super::*;
-    use crate::ResolutionSchedule;
+    use crate::LevelSetIltBuilder;
     use lsopc_optics::OpticsConfig;
 
     fn optics() -> OpticsConfig {
         OpticsConfig::iccad2013().with_kernel_count(4)
     }
 
-    fn sim_256() -> LithoSimulator {
-        LithoSimulator::from_optics(&optics(), 256, 4.0)
+    /// Optimizes a 256-px wire, the smallest grid `auto` schedules.
+    fn run_256(builder: LevelSetIltBuilder) -> IltResult {
+        let sim = LithoSimulator::from_optics(&optics(), 256, 4.0)
             .expect("valid configuration")
-            .with_accelerated_backend(1)
-    }
-
-    fn wire_target_256() -> Grid<f64> {
-        Grid::from_fn(256, 256, |x, y| {
+            .with_accelerated_backend(1);
+        let target = Grid::from_fn(256, 256, |x, y| {
             if (104..152).contains(&x) && (48..208).contains(&y) {
                 1.0
             } else {
                 0.0
             }
-        })
+        });
+        let control = RunControl::new();
+        builder
+            .build()
+            .optimize(&sim, &target, &control)
+            .expect("runs")
+    }
+
+    fn auto_256() -> ResolutionSchedule {
+        ResolutionSchedule::auto(256, &optics(), 9).expect("256 px grid is schedulable")
     }
 
     #[test]
     fn scheduled_run_executes_both_stages_and_improves() {
-        let sim = sim_256();
-        let target = wire_target_256();
-        let schedule =
-            ResolutionSchedule::auto(256, &optics(), 9).expect("256 px grid is schedulable");
-        let result = LevelSetIlt::builder()
-            .max_iterations(9)
-            .schedule(Some(schedule))
-            .build()
-            .optimize(&sim, &target)
-            .expect("scheduled run");
+        let schedule = auto_256();
+        let result = run_256(
+            LevelSetIlt::builder()
+                .max_iterations(9)
+                .schedule(Some(schedule)),
+        );
         assert_eq!(result.coarse_iterations, schedule.coarse_iterations());
         assert_eq!(
             result.iterations,
@@ -1687,21 +1618,12 @@ mod schedule_tests {
         // change: with matched total budgets the final cost must land in
         // the same neighbourhood as the flat solve (DESIGN.md §14 gives
         // the accuracy contract; 20% covers the discrete mask flips).
-        let sim = sim_256();
-        let target = wire_target_256();
-        let flat = LevelSetIlt::builder()
-            .max_iterations(9)
-            .build()
-            .optimize(&sim, &target)
-            .expect("flat run");
-        let schedule =
-            ResolutionSchedule::auto(256, &optics(), 9).expect("256 px grid is schedulable");
-        let scheduled = LevelSetIlt::builder()
-            .max_iterations(9)
-            .schedule(Some(schedule))
-            .build()
-            .optimize(&sim, &target)
-            .expect("scheduled run");
+        let flat = run_256(LevelSetIlt::builder().max_iterations(9));
+        let scheduled = run_256(
+            LevelSetIlt::builder()
+                .max_iterations(9)
+                .schedule(Some(auto_256())),
+        );
         let rel = (scheduled.final_cost() - flat.final_cost()).abs() / flat.final_cost();
         assert!(
             rel < 0.20,
@@ -1716,40 +1638,22 @@ mod schedule_tests {
     fn unschedulable_grid_falls_back_to_the_flat_loop() {
         // 64 px is below the coarse floor: Option stays None and the
         // configured schedule must be ignored, not an error.
-        let sim = LithoSimulator::from_optics(&optics(), 64, 4.0).expect("valid configuration");
-        let target = Grid::from_fn(64, 64, |x, y| {
-            if (26..38).contains(&x) && (12..52).contains(&y) {
-                1.0
-            } else {
-                0.0
-            }
-        });
         assert!(ResolutionSchedule::auto(64, &optics(), 9).is_none());
         let schedule = ResolutionSchedule::new(128, 2, 6, 3);
-        let result = LevelSetIlt::builder()
+        let result = run(LevelSetIlt::builder()
             .max_iterations(5)
-            .schedule(Some(schedule))
-            .build()
-            .optimize(&sim, &target)
-            .expect("fallback run");
+            .schedule(Some(schedule)));
         assert_eq!(result.coarse_iterations, 0);
         assert_eq!(result.iterations, 5);
     }
 
     #[test]
     fn warm_start_rejects_mismatched_init_dims() {
-        let sim = LithoSimulator::from_optics(&optics(), 64, 4.0).expect("valid configuration");
-        let target = Grid::from_fn(64, 64, |x, y| {
-            if (26..38).contains(&x) && (12..52).contains(&y) {
-                1.0
-            } else {
-                0.0
-            }
-        });
+        let control = RunControl::new().with_initial_levelset(Grid::new(32, 32, 1.0));
         let err = LevelSetIlt::builder()
             .max_iterations(3)
             .build()
-            .optimize_from(&sim, &target, Grid::new(32, 32, 1.0))
+            .optimize(&sim_64(), &wire_target(), &control)
             .expect_err("should fail");
         assert!(matches!(err, OptimizeError::InitDimsMismatch { .. }));
         assert!(err.to_string().contains("32x32"));
@@ -1757,19 +1661,11 @@ mod schedule_tests {
 
     #[test]
     fn warm_start_from_own_levelset_reconverges_immediately() {
-        let sim = LithoSimulator::from_optics(&optics(), 64, 4.0).expect("valid configuration");
-        let target = Grid::from_fn(64, 64, |x, y| {
-            if (26..38).contains(&x) && (12..52).contains(&y) {
-                1.0
-            } else {
-                0.0
-            }
-        });
         let opt = LevelSetIlt::builder().max_iterations(8).build();
-        let cold = opt.optimize(&sim, &target).expect("cold run");
-        let warm = opt
-            .optimize_from(&sim, &target, cold.levelset.clone())
-            .expect("warm run");
+        let cold = run(LevelSetIlt::builder().max_iterations(8));
+        let control = RunControl::new().with_initial_levelset(cold.levelset.clone());
+        let warm = opt.optimize(&sim_64(), &wire_target(), &control);
+        let warm = warm.expect("warm run");
         // Restarting from the solved ψ must not undo the work.
         assert!(
             warm.final_cost() <= cold.final_cost() * 1.05,

@@ -97,6 +97,7 @@ pub struct RunControl {
     pub(crate) iteration_budget: Option<usize>,
     pub(crate) checkpoint: Option<CheckpointSpec>,
     pub(crate) resume: Option<PathBuf>,
+    pub(crate) initial_levelset: Option<Grid<f64>>,
 }
 
 impl RunControl {
@@ -146,9 +147,15 @@ impl RunControl {
         self
     }
 
-    /// The cancel token, if one is attached.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
+    /// Warm-starts the run from `psi` instead of the target's signed
+    /// distance: a cached ψ of a solved (translation-equivalent) tile
+    /// skips the contour-forming iterations. `psi` is ψ₀ verbatim
+    /// (narrowed to the run's precision), replaces the coarse stage of
+    /// any [`ResolutionSchedule`](crate::ResolutionSchedule), and is
+    /// part of the checkpoint's config hash.
+    pub fn with_initial_levelset(mut self, psi: Grid<f64>) -> Self {
+        self.initial_levelset = Some(psi);
+        self
     }
 
     /// Polls every stop source, in deterministic-first order: an

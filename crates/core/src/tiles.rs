@@ -16,10 +16,9 @@
 
 use crate::resume::{self, RunControl, TileCheckpoint};
 use crate::warmstart::{fingerprint, PatternFingerprint, WarmStartCache};
-use crate::{IltResult, LevelSetIlt, OptimizeError, SolverDiagnostics, StopReason};
+use crate::{LevelSetIlt, OptimizeError, StopReason};
 use lsopc_grid::Grid;
-use lsopc_litho::{BuildSimulatorError, LithoSimulator};
-use lsopc_optics::OpticsConfig;
+use lsopc_litho::LithoSimulator;
 use lsopc_parallel::ParallelContext;
 use std::collections::HashSet;
 use std::error::Error;
@@ -31,8 +30,6 @@ use std::path::Path;
 pub enum TiledError {
     /// The tile/halo configuration is invalid for the target grid.
     BadConfiguration(String),
-    /// Building a tile simulator failed.
-    Simulator(BuildSimulatorError),
     /// A tile optimization failed.
     Optimize(OptimizeError),
     /// The checkpoint/resume directory could not be used.
@@ -43,7 +40,6 @@ impl fmt::Display for TiledError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::BadConfiguration(msg) => write!(f, "bad tile configuration: {msg}"),
-            Self::Simulator(e) => write!(f, "tile simulator: {e}"),
             Self::Optimize(e) => write!(f, "tile optimization: {e}"),
             Self::Checkpoint(msg) => write!(f, "tile checkpoint: {msg}"),
         }
@@ -53,16 +49,9 @@ impl fmt::Display for TiledError {
 impl Error for TiledError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            Self::BadConfiguration(_) | Self::Checkpoint(_) => None,
-            Self::Simulator(e) => Some(e),
             Self::Optimize(e) => Some(e),
+            _ => None,
         }
-    }
-}
-
-impl From<BuildSimulatorError> for TiledError {
-    fn from(e: BuildSimulatorError) -> Self {
-        Self::Simulator(e)
     }
 }
 
@@ -70,6 +59,37 @@ impl From<OptimizeError> for TiledError {
     fn from(e: OptimizeError) -> Self {
         Self::Optimize(e)
     }
+}
+
+/// Validates a tile geometry and returns its solve window
+/// `core + 2·halo`.
+///
+/// # Errors
+///
+/// Returns [`TiledError::BadConfiguration`] when the geometry is
+/// degenerate: a zero core, a halo at least as large as the core (the
+/// "core" would be mostly duplicated context), an overflowing tile
+/// size, or a window that is not a power of two (FFT requirement).
+pub fn tile_window(core_px: usize, halo_px: usize) -> Result<usize, TiledError> {
+    let bad = |msg: String| Err(TiledError::BadConfiguration(msg));
+    if core_px == 0 {
+        return bad("core size must be positive".into());
+    }
+    if halo_px >= core_px {
+        return bad(format!(
+            "halo {halo_px}px must be smaller than the {core_px}px core"
+        ));
+    }
+    let Some(tile) = halo_px
+        .checked_mul(2)
+        .and_then(|h2| core_px.checked_add(h2))
+    else {
+        return bad(format!("tile size {core_px} + 2·{halo_px} overflows"));
+    };
+    if !tile.is_power_of_two() {
+        return bad(format!("core + 2·halo = {tile} must be a power of two"));
+    }
+    Ok(tile)
 }
 
 /// What a tiled run did: tile counts and iteration totals, split by
@@ -109,10 +129,12 @@ impl TiledStats {
         self.cold_full_iterations + self.warm_full_iterations
     }
 
-    fn tally(&mut self, result: &IltResult<f64>, warm: bool) {
+    /// Counts one completed tile that ran `iterations`, `coarse` of
+    /// them on the coarse grid.
+    fn tally(&mut self, iterations: usize, coarse: usize, warm: bool) {
         self.tiles += 1;
-        let full = result.iterations - result.coarse_iterations;
-        self.coarse_iterations += result.coarse_iterations;
+        let full = iterations - coarse;
+        self.coarse_iterations += coarse;
         if warm {
             self.warm += 1;
             self.warm_full_iterations += full;
@@ -128,16 +150,17 @@ impl TiledStats {
 /// # Example
 ///
 /// ```no_run
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use lsopc_core::{LevelSetIlt, TiledIlt};
+/// use lsopc_core::{LevelSetIlt, RunControl, TiledError, TiledIlt};
 /// use lsopc_grid::Grid;
-/// use lsopc_optics::OpticsConfig;
+/// use lsopc_litho::LithoSimulator;
 ///
-/// let tiled = TiledIlt::new(LevelSetIlt::builder().max_iterations(20).build(), 128, 64)?;
-/// let target = Grid::new(512, 512, 0.0);
-/// let mask = tiled.optimize(&OpticsConfig::iccad2013(), &target, 4.0)?;
-/// # Ok(())
-/// # }
+/// /// `window` simulates one 256-px tile window (128 + 2·64) at the
+/// /// full field's pixel pitch.
+/// fn solve(window: &LithoSimulator, target: &Grid<f64>) -> Result<Grid<f64>, TiledError> {
+///     let tiled = TiledIlt::new(LevelSetIlt::builder().max_iterations(20).build(), 128, 64)?;
+///     let (mask, _stats) = tiled.optimize(window, target, &RunControl::new())?;
+///     Ok(mask)
+/// }
 /// ```
 #[derive(Clone, Debug)]
 pub struct TiledIlt {
@@ -148,9 +171,6 @@ pub struct TiledIlt {
     warm_iterations: Option<usize>,
     /// `None` → [`ParallelContext::global`].
     ctx: Option<ParallelContext>,
-    control: Option<RunControl>,
-    /// Cache handles injected into the internal tile simulator.
-    caches: Option<lsopc_litho::SimCaches>,
 }
 
 impl TiledIlt {
@@ -160,30 +180,10 @@ impl TiledIlt {
     ///
     /// # Errors
     ///
-    /// Returns [`TiledError::BadConfiguration`] when the geometry is
-    /// degenerate: a zero core, a halo at least as large as the core
-    /// (the "core" would be mostly duplicated context), an overflowing
-    /// tile size, or a tile that is not a power of two (FFT
-    /// requirement).
+    /// Returns [`TiledError::BadConfiguration`] when [`tile_window`]
+    /// rejects the geometry.
     pub fn new(optimizer: LevelSetIlt, core_px: usize, halo_px: usize) -> Result<Self, TiledError> {
-        let bad = |msg: String| Err(TiledError::BadConfiguration(msg));
-        if core_px == 0 {
-            return bad("core size must be positive".into());
-        }
-        if halo_px >= core_px {
-            return bad(format!(
-                "halo {halo_px}px must be smaller than the {core_px}px core"
-            ));
-        }
-        let Some(tile) = halo_px
-            .checked_mul(2)
-            .and_then(|h2| core_px.checked_add(h2))
-        else {
-            return bad(format!("tile size {core_px} + 2·{halo_px} overflows"));
-        };
-        if !tile.is_power_of_two() {
-            return bad(format!("core + 2·halo = {tile} must be a power of two"));
-        }
+        tile_window(core_px, halo_px)?;
         Ok(Self {
             optimizer,
             core_px,
@@ -191,8 +191,6 @@ impl TiledIlt {
             warm_start: None,
             warm_iterations: None,
             ctx: None,
-            control: None,
-            caches: None,
         })
     }
 
@@ -225,34 +223,6 @@ impl TiledIlt {
         self
     }
 
-    /// Attaches run-lifecycle controls ([`RunControl`]). The cancel
-    /// token and deadline are observed at tile-claim points (unclaimed
-    /// tiles drain promptly after a stop) and inside every tile's
-    /// iteration loop; tiles interrupted mid-solve stitch their
-    /// best-so-far mask and count as
-    /// [`unfinished`](TiledStats::unfinished).
-    ///
-    /// For tiled runs a [`CheckpointSpec`](crate::CheckpointSpec) path
-    /// names a *directory*: each completed tile is persisted there as
-    /// its own file (`tile_<x>_<y>.tile`), and a resume path restores
-    /// completed tiles from such a directory, re-solving any missing,
-    /// corrupt or configuration-mismatched entries. Iteration budgets
-    /// are rejected ([`TiledError::BadConfiguration`]) — a global
-    /// iteration count is not meaningful across concurrent tiles.
-    pub fn with_run_control(mut self, control: RunControl) -> Self {
-        self.control = Some(control);
-        self
-    }
-
-    /// Injects shared cache handles ([`lsopc_litho::SimCaches`]) into the
-    /// tile simulator built by [`Self::optimize_with_stats`], so repeated
-    /// tiled runs in one host process (the engine) amortize FFT plans and
-    /// embedded spectra instead of re-warming the process globals.
-    pub fn with_caches(mut self, caches: lsopc_litho::SimCaches) -> Self {
-        self.caches = Some(caches);
-        self
-    }
-
     fn ctx(&self) -> &ParallelContext {
         self.ctx
             .as_ref()
@@ -281,61 +251,16 @@ impl TiledIlt {
         fold(h, self.warm_iterations() as u64)
     }
 
-    /// Persists one completed tile under the checkpoint directory.
-    /// A write failure degrades to a warning — the run's result does
-    /// not depend on the checkpoint.
-    fn persist_tile(
-        &self,
-        dir: &Path,
-        tx: usize,
-        ty: usize,
-        hash: u64,
-        warm: bool,
-        result: &IltResult<f64>,
-    ) {
-        let tc = TileCheckpoint {
-            hash,
-            warm,
-            iterations: result.iterations,
-            coarse_iterations: result.coarse_iterations,
-            mask: result.mask.clone(),
-            levelset: result.levelset.clone(),
-        };
-        let path = dir.join(resume::tile_entry_name(tx, ty));
-        match resume::write_tile_checkpoint(&path, &tc) {
-            Ok(()) => lsopc_trace::count("checkpoint.write", 1),
-            Err(e) => lsopc_trace::warn(
-                "tiles",
-                &format!("failed to write tile checkpoint {}: {e}", path.display()),
-            ),
-        }
-    }
-
     /// Optimizes a (possibly large) target by tiles and stitches the
-    /// result. Empty tiles are skipped. See
-    /// [`TiledIlt::optimize_with_stats`] for the full contract.
+    /// result, reporting per-run [`TiledStats`]. Empty tiles are
+    /// skipped.
     ///
-    /// # Errors
-    ///
-    /// Returns [`TiledError`] when the target is not a multiple of the
-    /// core size, or a tile fails to simulate/optimize.
-    pub fn optimize(
-        &self,
-        optics: &OpticsConfig,
-        target: &Grid<f64>,
-        pixel_nm: f64,
-    ) -> Result<Grid<f64>, TiledError> {
-        self.optimize_with_stats(optics, target, pixel_nm)
-            .map(|(mask, _)| mask)
-    }
-
-    /// [`TiledIlt::optimize`], also reporting per-run [`TiledStats`].
-    ///
-    /// Tiles are independent given the halo design and are optimized
-    /// concurrently on the shared pool. The stitch (and the choice of
-    /// which error is reported when several tiles fail) follows the
-    /// deterministic row-major tile order, so the output never depends
-    /// on which tile finished first.
+    /// `sim` simulates one tile window ([`TiledIlt::tile_px`] pixels at
+    /// the full field's pitch); every tile solve shares it and its
+    /// caches. Tiles are optimized concurrently on the pool (the
+    /// simulator's own fan-out runs inline inside a tile task), and the
+    /// stitch — and which error is reported when several tiles fail —
+    /// follows row-major tile order, never completion order.
     ///
     /// With a warm-start cache the run is two deterministic phases:
     /// every pattern's first occurrence (row-major) not already cached
@@ -346,23 +271,28 @@ impl TiledIlt {
     /// (pinned by `tests/parallel_tiles.rs`). Cold-phase failures are
     /// reported (first in row-major order) before warm-phase ones.
     ///
-    /// With a [`RunControl`] attached (see
-    /// [`TiledIlt::with_run_control`]) the run stops gracefully on
-    /// cancellation or deadline — completed tiles keep their solved
-    /// masks, interrupted tiles stitch best-so-far, untouched tiles
-    /// fall back to the target pattern — and completed tiles persist
-    /// to / restore from a per-tile checkpoint directory.
+    /// The control's cancel token and deadline are observed at
+    /// tile-claim points and inside every tile's loop. A stop is
+    /// graceful: completed tiles keep their masks, interrupted ones
+    /// stitch best-so-far ([`unfinished`](TiledStats::unfinished)),
+    /// untouched ones fall back to the target. A
+    /// [`CheckpointSpec`](crate::CheckpointSpec) path names a
+    /// *directory* with one file per completed tile
+    /// (`tile_<x>_<y>.tile`); resuming restores them and re-solves any
+    /// missing, corrupt or mismatched entries.
     ///
     /// # Errors
     ///
     /// Returns [`TiledError`] when the target is not a multiple of the
-    /// core size, a tile fails to simulate/optimize, or the
-    /// checkpoint/resume directory is unusable.
-    pub fn optimize_with_stats(
+    /// core size, `sim` does not match the tile window, the control
+    /// carries an iteration budget or an initial level set (neither is
+    /// meaningful across concurrent tiles), a tile fails to optimize,
+    /// or the checkpoint/resume directory is unusable.
+    pub fn optimize(
         &self,
-        optics: &OpticsConfig,
+        sim: &LithoSimulator<f64>,
         target: &Grid<f64>,
-        pixel_nm: f64,
+        control: &RunControl,
     ) -> Result<(Grid<f64>, TiledStats), TiledError> {
         let (w, h) = target.dims();
         if w % self.core_px != 0 || h % self.core_px != 0 {
@@ -371,7 +301,13 @@ impl TiledIlt {
                 self.core_px
             )));
         }
-        let control = self.control.clone().unwrap_or_default();
+        let tile = self.tile_px();
+        if sim.grid_px() != tile {
+            return Err(TiledError::BadConfiguration(format!(
+                "simulator grid {}px does not match the {tile}px tile window",
+                sim.grid_px()
+            )));
+        }
         if control.iteration_budget.is_some() {
             return Err(TiledError::BadConfiguration(
                 "iteration budgets are not supported for tiled runs \
@@ -379,15 +315,12 @@ impl TiledIlt {
                     .into(),
             ));
         }
-        let tile = self.tile_px();
-        // Each tile solve is serial (the fan-out is across tiles), hence
-        // the 1-thread backend; cache handles forward to it because the
-        // simulator is built here, out of the caller's reach.
-        let backend = lsopc_litho::AcceleratedBackend::new(1);
-        let mut sim =
-            LithoSimulator::from_optics(optics, tile, pixel_nm)?.with_backend(Box::new(backend));
-        if let Some(caches) = &self.caches {
-            sim = sim.with_caches(caches.clone());
+        if control.initial_levelset.is_some() {
+            return Err(TiledError::BadConfiguration(
+                "an initial level set is not supported for tiled runs \
+                 (tiles warm-start from the warm-start cache)"
+                    .into(),
+            ));
         }
         // Warm the per-defocus kernel cache before fanning out so
         // concurrent tiles don't all generate the same kernels on a miss.
@@ -417,7 +350,8 @@ impl TiledIlt {
             }
         }
 
-        let mut slots: Vec<Option<IltResult<f64>>> = (0..tiles.len()).map(|_| None).collect();
+        // Each tile's solved (or best-so-far) mask, halo included.
+        let mut slots: Vec<Option<Grid<f64>>> = vec![None; tiles.len()];
         let mut stats = TiledStats::default();
 
         // Per-tile checkpointing: the spec's path is a directory of one
@@ -460,24 +394,16 @@ impl TiledIlt {
                         continue;
                     }
                 };
-                if tc.hash != self.tile_hash(&sim, t) {
-                    lsopc_trace::warn(
-                        "tiles",
-                        &format!(
-                            "ignoring tile checkpoint {}: configuration or content changed",
-                            path.display()
-                        ),
-                    );
-                    continue;
-                }
-                if tc.mask.dims() != (tile, tile) || tc.levelset.dims() != (tile, tile) {
-                    lsopc_trace::warn(
-                        "tiles",
-                        &format!(
-                            "ignoring tile checkpoint {}: wrong dimensions",
-                            path.display()
-                        ),
-                    );
+                let stale = if tc.hash != self.tile_hash(sim, t) {
+                    Some("configuration or content changed")
+                } else if tc.mask.dims() != (tile, tile) || tc.levelset.dims() != (tile, tile) {
+                    Some("wrong dimensions")
+                } else {
+                    None
+                };
+                if let Some(why) = stale {
+                    let path = path.display();
+                    lsopc_trace::warn("tiles", &format!("ignoring tile checkpoint {path}: {why}"));
                     continue;
                 }
                 if let Some(cache) = &self.warm_start {
@@ -486,22 +412,10 @@ impl TiledIlt {
                         cache.store(&fp, &tc.levelset);
                     }
                 }
-                let result = IltResult {
-                    mask: tc.mask,
-                    levelset: tc.levelset,
-                    history: Vec::new(),
-                    iterations: tc.iterations,
-                    coarse_iterations: tc.coarse_iterations,
-                    converged: true,
-                    runtime_s: 0.0,
-                    snapshots: Vec::new(),
-                    diagnostics: SolverDiagnostics::default(),
-                    stopped: None,
-                };
-                stats.tally(&result, tc.warm);
+                stats.tally(tc.iterations, tc.coarse_iterations, tc.warm);
                 stats.resumed += 1;
                 lsopc_trace::count("tiles.resume", 1);
-                slots[i] = Some(result);
+                slots[i] = Some(tc.mask);
             }
         }
 
@@ -509,10 +423,11 @@ impl TiledIlt {
         // expiring mid-tile) are promoted into it so unclaimed tiles
         // drain instead of starting doomed solves.
         let token = control.cancel.clone().unwrap_or_default();
-        let mut tile_control = RunControl::new().with_cancel(token.clone());
-        if let Some(deadline) = control.deadline {
-            tile_control = tile_control.with_deadline(deadline);
-        }
+        let tile_control = RunControl {
+            cancel: Some(token.clone()),
+            deadline: control.deadline,
+            ..RunControl::default()
+        };
 
         // Classify tiles by content, in row-major order so the choice of
         // each pattern's cold representative is deterministic. Restored
@@ -541,80 +456,53 @@ impl TiledIlt {
                             lsopc_trace::count("cache.warmstart.hit", 1);
                             true
                         };
-                        if warm {
-                            Some(fp)
-                        } else {
-                            None
-                        }
+                        warm.then_some(fp)
                     })
                     .collect()
             }
         };
 
-        // Phase one: cold tiles (everything unrestored, without a cache).
-        let cold_idx: Vec<usize> = (0..tiles.len())
-            .filter(|&i| slots[i].is_none() && plans[i].is_none())
-            .collect();
-        {
-            let _span = lsopc_trace::span!("tiles.phase.cold");
-            let results = self.ctx().par_map_cancellable(cold_idx.len(), &token, |j| {
-                if let Some(reason) = tile_control.stop_requested(0) {
-                    token.cancel(reason);
-                }
-                self.optimizer
-                    .optimize_controlled(&sim, &tiles[cold_idx[j]].2, &tile_control)
-            });
-            for (&i, result) in cold_idx.iter().zip(results) {
-                let Some(result) = result else {
-                    stats.unfinished += 1;
-                    continue;
-                };
-                let result = result?;
-                if let Some(reason) = result.stopped {
-                    token.cancel(reason);
-                    stats.unfinished += 1;
-                    slots[i] = Some(result);
-                    continue;
-                }
-                if let Some(cache) = &self.warm_start {
-                    let fp = fingerprint(&tiles[i].2).expect("non-empty tiles have fingerprints");
-                    cache.store(&fp, &result.levelset);
-                }
-                if let Some(dir) = ck_dir {
-                    let (tx, ty, t) = &tiles[i];
-                    self.persist_tile(dir, *tx, *ty, self.tile_hash(&sim, t), false, &result);
-                }
-                stats.tally(&result, false);
-                slots[i] = Some(result);
+        // Phase one solves the cold tiles (everything unrestored,
+        // without a cache); phase two refines the warm tiles from the
+        // cache phase one just completed. A cache entry that went missing
+        // (e.g. a corrupt directory entry) degrades to a cold solve.
+        let mut warm_opt = self.optimizer.clone();
+        warm_opt.max_iterations = self.warm_iterations();
+        let solve = |i: usize| {
+            if let Some(reason) = tile_control.stop_requested(0) {
+                token.cancel(reason);
             }
-        }
-
-        // Phase two: warm tiles, refined from the cache that phase one
-        // just completed. A cache entry that went missing (e.g. a
-        // corrupt directory entry) degrades to a cold solve.
-        let warm_idx: Vec<usize> = (0..tiles.len()).filter(|&i| plans[i].is_some()).collect();
-        if !warm_idx.is_empty() {
-            let _span = lsopc_trace::span!("tiles.phase.warm");
-            let cache = self.warm_start.as_ref().expect("warm tiles imply a cache");
-            let mut warm_opt = self.optimizer.clone();
-            warm_opt.max_iterations = self.warm_iterations();
-            let results = self.ctx().par_map_cancellable(warm_idx.len(), &token, |j| {
-                if let Some(reason) = tile_control.stop_requested(0) {
-                    token.cancel(reason);
+            let cache = self.warm_start.as_ref();
+            match plans[i].as_ref().and_then(|fp| cache?.lookup_uncounted(fp)) {
+                Some(psi0) => {
+                    let warm_control = tile_control.clone().with_initial_levelset(psi0);
+                    let result = warm_opt.optimize(sim, &tiles[i].2, &warm_control);
+                    result.map(|r| (r, true))
                 }
-                let i = warm_idx[j];
-                let fp = plans[i].as_ref().expect("warm plan");
-                match cache.lookup_uncounted(fp) {
-                    Some(psi0) => warm_opt
-                        .optimize_from_controlled(&sim, &tiles[i].2, psi0, &tile_control)
-                        .map(|r| (r, true)),
-                    None => self
-                        .optimizer
-                        .optimize_controlled(&sim, &tiles[i].2, &tile_control)
-                        .map(|r| (r, false)),
+                None => {
+                    let result = self.optimizer.optimize(sim, &tiles[i].2, &tile_control);
+                    result.map(|r| (r, false))
                 }
+            }
+        };
+        let cold_idx = (0..tiles.len()).filter(|&i| slots[i].is_none() && plans[i].is_none());
+        let warm_idx = (0..tiles.len()).filter(|&i| plans[i].is_some());
+        for (cold, idx) in [
+            (true, cold_idx.collect::<Vec<_>>()),
+            (false, warm_idx.collect()),
+        ] {
+            if !cold && idx.is_empty() {
+                continue;
+            }
+            let _span = lsopc_trace::span!(if cold {
+                "tiles.phase.cold"
+            } else {
+                "tiles.phase.warm"
             });
-            for (&i, result) in warm_idx.iter().zip(results) {
+            let results = self
+                .ctx()
+                .par_map_cancellable(idx.len(), &token, |j| solve(idx[j]));
+            for (&i, result) in idx.iter().zip(results) {
                 let Some(result) = result else {
                     stats.unfinished += 1;
                     continue;
@@ -623,15 +511,38 @@ impl TiledIlt {
                 if let Some(reason) = result.stopped {
                     token.cancel(reason);
                     stats.unfinished += 1;
-                    slots[i] = Some(result);
+                    slots[i] = Some(result.mask);
                     continue;
                 }
+                // Only phase one stores: phase two reads the cache
+                // concurrently, so it must not change under it.
+                if let (true, Some(cache)) = (cold, &self.warm_start) {
+                    let fp = fingerprint(&tiles[i].2).expect("non-empty tiles have fingerprints");
+                    cache.store(&fp, &result.levelset);
+                }
+                // Persist the completed tile. A write failure degrades to
+                // a warning — the run's result does not depend on it.
                 if let Some(dir) = ck_dir {
                     let (tx, ty, t) = &tiles[i];
-                    self.persist_tile(dir, *tx, *ty, self.tile_hash(&sim, t), warm, &result);
+                    let tc = TileCheckpoint {
+                        hash: self.tile_hash(sim, t),
+                        warm,
+                        iterations: result.iterations,
+                        coarse_iterations: result.coarse_iterations,
+                        mask: result.mask.clone(),
+                        levelset: result.levelset.clone(),
+                    };
+                    let path = dir.join(resume::tile_entry_name(*tx, *ty));
+                    match resume::write_tile_checkpoint(&path, &tc) {
+                        Ok(()) => lsopc_trace::count("checkpoint.write", 1),
+                        Err(e) => lsopc_trace::warn(
+                            "tiles",
+                            &format!("failed to write tile checkpoint {}: {e}", path.display()),
+                        ),
+                    }
                 }
-                stats.tally(&result, warm);
-                slots[i] = Some(result);
+                stats.tally(result.iterations, result.coarse_iterations, warm);
+                slots[i] = Some(result.mask);
             }
         }
         stats.stopped = token.cancelled();
@@ -644,14 +555,11 @@ impl TiledIlt {
         // best-so-far output for an unstarted tile is the pattern
         // itself.
         let mut out = Grid::new(w, h, 0.0);
-        for ((tx, ty, t), slot) in tiles.iter().zip(slots) {
+        for ((tx, ty, t), slot) in tiles.iter().zip(&slots) {
+            let src = slot.as_ref().unwrap_or(t);
             for y in 0..self.core_px {
                 for x in 0..self.core_px {
-                    let v = match &slot {
-                        Some(result) => result.mask[(x + self.halo_px, y + self.halo_px)],
-                        None => t[(x + self.halo_px, y + self.halo_px)],
-                    };
-                    out[(tx + x, ty + y)] = v;
+                    out[(tx + x, ty + y)] = src[(x + self.halo_px, y + self.halo_px)];
                 }
             }
         }
@@ -663,9 +571,17 @@ impl TiledIlt {
 mod tests {
     use super::*;
     use lsopc_litho::ProcessCondition;
+    use lsopc_optics::OpticsConfig;
 
     fn optics() -> OpticsConfig {
         OpticsConfig::iccad2013().with_kernel_count(4)
+    }
+
+    /// The 256-px window (128 core + 2·64 halo) at the 4 nm pitch.
+    fn tile_sim() -> LithoSimulator {
+        LithoSimulator::from_optics(&optics(), 256, 4.0)
+            .expect("valid")
+            .with_accelerated_backend(1)
     }
 
     /// Two features in different tiles of a 256-px target.
@@ -703,7 +619,9 @@ mod tests {
         let tiled = TiledIlt::new(LevelSetIlt::builder().max_iterations(6).build(), 128, 64)
             .expect("valid tiling");
         let target = two_tile_target();
-        let mask = tiled.optimize(&optics(), &target, 4.0).expect("tiles run");
+        let (mask, _) = tiled
+            .optimize(&tile_sim(), &target, &RunControl::new())
+            .expect("tiles run");
         assert_eq!(mask.dims(), (256, 256));
         // The mask prints both features.
         let sim = LithoSimulator::from_optics(&optics(), 256, 4.0)
@@ -720,14 +638,14 @@ mod tests {
         // nearly transparent: the printed results agree.
         let opt = LevelSetIlt::builder().max_iterations(6).build();
         let target = two_tile_target();
-        let tiled_mask = TiledIlt::new(opt.clone(), 128, 64)
+        let sim = tile_sim();
+        let (tiled_mask, _) = TiledIlt::new(opt.clone(), 128, 64)
             .expect("valid tiling")
-            .optimize(&optics(), &target, 4.0)
+            .optimize(&sim, &target, &RunControl::new())
             .expect("tiles run");
-        let sim = LithoSimulator::from_optics(&optics(), 256, 4.0)
-            .expect("valid")
-            .with_accelerated_backend(1);
-        let mono = opt.optimize(&sim, &target).expect("monolithic runs");
+        let mono = opt
+            .optimize(&sim, &target, &RunControl::new())
+            .expect("monolithic runs");
         let p_tiled = sim.print(&tiled_mask, ProcessCondition::NOMINAL);
         let p_mono = sim.print(&mono.mask, ProcessCondition::NOMINAL);
         // Printed images agree except a small fraction of pixels.
@@ -755,7 +673,9 @@ mod tests {
             }
         });
         let start = std::time::Instant::now();
-        let mask = tiled.optimize(&optics(), &target, 4.0).expect("tiles run");
+        let (mask, _) = tiled
+            .optimize(&tile_sim(), &target, &RunControl::new())
+            .expect("tiles run");
         let with_empty = start.elapsed();
         assert!(mask.sum() > 0.0);
         // 15 of 16 tiles are empty; the run must be much faster than 16
@@ -768,7 +688,7 @@ mod tests {
         let tiled = TiledIlt::new(LevelSetIlt::default(), 128, 64).expect("valid tiling");
         let target = Grid::new(200, 200, 1.0);
         let err = tiled
-            .optimize(&optics(), &target, 4.0)
+            .optimize(&tile_sim(), &target, &RunControl::new())
             .expect_err("misaligned");
         assert!(matches!(err, TiledError::BadConfiguration(_)));
         assert!(err.to_string().contains("multiple"));
@@ -808,7 +728,7 @@ mod tests {
             .expect("valid tiling")
             .with_warm_start(cache.clone());
         let (mask, stats) = tiled
-            .optimize_with_stats(&optics(), &repeated_tile_target(), 4.0)
+            .optimize(&tile_sim(), &repeated_tile_target(), &RunControl::new())
             .expect("tiles run");
         assert!(mask.sum() > 0.0);
         assert_eq!(stats.tiles, 5);
@@ -832,11 +752,11 @@ mod tests {
                 .with_warm_start(cache.clone())
         };
         let (first_mask, first) = make()
-            .optimize_with_stats(&optics(), &repeated_tile_target(), 4.0)
+            .optimize(&tile_sim(), &repeated_tile_target(), &RunControl::new())
             .expect("first run");
         assert_eq!((first.cold, first.warm), (1, 4));
         let (second_mask, second) = make()
-            .optimize_with_stats(&optics(), &repeated_tile_target(), 4.0)
+            .optimize(&tile_sim(), &repeated_tile_target(), &RunControl::new())
             .expect("second run");
         assert_eq!((second.cold, second.warm), (0, 5), "all cached now");
         // The second run warm-starts from the first run's refined ψ, so
@@ -852,13 +772,19 @@ mod tests {
         let make = || TiledIlt::new(opt.clone(), 128, 64).expect("valid tiling");
         let spec = crate::CheckpointSpec::new(&dir, 1);
         let (first_mask, first) = make()
-            .with_run_control(RunControl::new().with_checkpoint(spec))
-            .optimize_with_stats(&optics(), &two_tile_target(), 4.0)
+            .optimize(
+                &tile_sim(),
+                &two_tile_target(),
+                &RunControl::new().with_checkpoint(spec),
+            )
             .expect("first run");
         assert_eq!(first.resumed, 0);
         let (second_mask, second) = make()
-            .with_run_control(RunControl::new().with_resume(&dir))
-            .optimize_with_stats(&optics(), &two_tile_target(), 4.0)
+            .optimize(
+                &tile_sim(),
+                &two_tile_target(),
+                &RunControl::new().with_resume(&dir),
+            )
             .expect("resumed run");
         assert_eq!(second.resumed, first.tiles, "every tile restores");
         assert_eq!(second.tiles, first.tiles);
@@ -869,8 +795,11 @@ mod tests {
         let other = LevelSetIlt::builder().max_iterations(6).build();
         let (_, third) = TiledIlt::new(other, 128, 64)
             .expect("valid tiling")
-            .with_run_control(RunControl::new().with_resume(&dir))
-            .optimize_with_stats(&optics(), &two_tile_target(), 4.0)
+            .optimize(
+                &tile_sim(),
+                &two_tile_target(),
+                &RunControl::new().with_resume(&dir),
+            )
             .expect("mismatched resume still runs");
         assert_eq!(third.resumed, 0, "hash mismatch re-solves every tile");
         std::fs::remove_dir_all(&dir).ok();
@@ -881,11 +810,10 @@ mod tests {
         let token = crate::CancelToken::new();
         token.cancel(crate::StopReason::External);
         let tiled = TiledIlt::new(LevelSetIlt::builder().max_iterations(5).build(), 128, 64)
-            .expect("valid tiling")
-            .with_run_control(RunControl::new().with_cancel(token));
+            .expect("valid tiling");
         let target = two_tile_target();
         let (mask, stats) = tiled
-            .optimize_with_stats(&optics(), &target, 4.0)
+            .optimize(&tile_sim(), &target, &RunControl::new().with_cancel(token))
             .expect("cancelled run is not an error");
         assert_eq!(stats.stopped, Some(crate::StopReason::External));
         assert_eq!(stats.tiles, 0);
@@ -897,11 +825,10 @@ mod tests {
 
     #[test]
     fn rejects_iteration_budget() {
-        let tiled = TiledIlt::new(LevelSetIlt::default(), 128, 64)
-            .expect("valid tiling")
-            .with_run_control(RunControl::new().with_iteration_budget(3));
+        let tiled = TiledIlt::new(LevelSetIlt::default(), 128, 64).expect("valid tiling");
+        let control = RunControl::new().with_iteration_budget(3);
         let err = tiled
-            .optimize(&optics(), &two_tile_target(), 4.0)
+            .optimize(&tile_sim(), &two_tile_target(), &control)
             .expect_err("budget must be rejected");
         assert!(matches!(err, TiledError::BadConfiguration(_)));
         assert!(err.to_string().contains("budget"));
@@ -912,10 +839,13 @@ mod tests {
         let path = std::env::temp_dir().join(format!("lsopc_tiles_file_{}", std::process::id()));
         std::fs::write(&path, b"not a directory").expect("write");
         let tiled = TiledIlt::new(LevelSetIlt::builder().max_iterations(4).build(), 128, 64)
-            .expect("valid tiling")
-            .with_run_control(RunControl::new().with_resume(&path));
+            .expect("valid tiling");
         let err = tiled
-            .optimize(&optics(), &two_tile_target(), 4.0)
+            .optimize(
+                &tile_sim(),
+                &two_tile_target(),
+                &RunControl::new().with_resume(&path),
+            )
             .expect_err("file is not a resume directory");
         assert!(matches!(err, TiledError::Checkpoint(_)));
         std::fs::remove_file(&path).ok();
@@ -928,13 +858,26 @@ mod tests {
         let tiled = TiledIlt::new(LevelSetIlt::builder().max_iterations(5).build(), 128, 64)
             .expect("valid tiling");
         let target = two_tile_target();
-        let plain = tiled.optimize(&optics(), &target, 4.0).expect("runs");
+        let (plain, _) = tiled
+            .optimize(&tile_sim(), &target, &RunControl::new())
+            .expect("runs");
         let (with_stats, stats) = tiled
-            .optimize_with_stats(&optics(), &target, 4.0)
+            .optimize(&tile_sim(), &target, &RunControl::new())
             .expect("runs");
         assert_eq!(plain, with_stats);
         assert_eq!(stats.warm, 0);
         assert_eq!(stats.cold, stats.tiles);
         assert_eq!(stats.coarse_iterations, 0);
+    }
+
+    #[test]
+    fn rejects_a_simulator_of_another_window() {
+        let tiled = TiledIlt::new(LevelSetIlt::default(), 128, 64).expect("valid tiling");
+        let full = LithoSimulator::from_optics(&optics(), 512, 4.0).expect("valid");
+        let err = tiled
+            .optimize(&full, &two_tile_target(), &RunControl::new())
+            .expect_err("a 512 px simulator is not a 256 px window");
+        assert!(matches!(err, TiledError::BadConfiguration(_)));
+        assert!(err.to_string().contains("256px tile window"), "{err}");
     }
 }

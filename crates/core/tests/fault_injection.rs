@@ -8,7 +8,9 @@
 //! rather than sampled — determinism makes every case cheap to pin.
 #![cfg(feature = "fault-injection")]
 
-use lsopc_core::{GuardConfig, GuardEventKind, LevelSetIlt, OptimizeError, RecoveryPolicy};
+use lsopc_core::{
+    GuardConfig, GuardEventKind, LevelSetIlt, OptimizeError, RecoveryPolicy, RunControl,
+};
 use lsopc_grid::Grid;
 use lsopc_litho::{cost_only, FaultInjector, FaultMode, LithoSimulator, ScriptedFault};
 use lsopc_optics::OpticsConfig;
@@ -66,7 +68,7 @@ fn assert_recovers(mode: FaultMode, k: usize, clean_costs: &[f64]) {
     let sim = faulty_sim(Arc::new(ScriptedFault::once(k, mode)));
     let target = wire_target();
     let result = optimizer(guard_on())
-        .optimize(&sim, &target)
+        .optimize(&sim, &target, &RunControl::new())
         .unwrap_or_else(|e| panic!("{mode:?} at iteration {k}: optimize failed: {e}"));
 
     assert_finite_binary(&result.mask);
@@ -117,7 +119,7 @@ fn assert_recovers(mode: FaultMode, k: usize, clean_costs: &[f64]) {
 /// Clean-run per-iteration costs, the rollback reference.
 fn clean_costs() -> Vec<f64> {
     let result = optimizer(guard_on())
-        .optimize(&clean_sim(), &wire_target())
+        .optimize(&clean_sim(), &wire_target(), &RunControl::new())
         .expect("clean run");
     assert!(!result.diagnostics.has_events(), "clean run saw events");
     result.history.iter().map(|r| r.cost_total).collect()
@@ -160,7 +162,7 @@ fn fault_on_final_evaluation_returns_best_healthy_iterate() {
     for mode in [FaultMode::NanCost, FaultMode::Panic] {
         let sim = faulty_sim(Arc::new(ScriptedFault::once(ITERS, mode)));
         let result = optimizer(guard_on())
-            .optimize(&sim, &target)
+            .optimize(&sim, &target, &RunControl::new())
             .expect("optimize survives a corrupt final evaluation");
         assert_finite_binary(&result.mask);
         assert!(result.diagnostics.has_events());
@@ -174,7 +176,7 @@ fn worker_panic_is_contained_as_a_diagnostics_event() {
     let sim = faulty_sim(Arc::new(ScriptedFault::once(2, FaultMode::Panic)));
     let target = wire_target();
     let result = optimizer(guard_on())
-        .optimize(&sim, &target)
+        .optimize(&sim, &target, &RunControl::new())
         .expect("panic must be contained");
     assert_finite_binary(&result.mask);
     let panics: Vec<_> = result
@@ -203,7 +205,7 @@ fn worker_panic_with_guard_off_still_aborts() {
     let sim = faulty_sim(Arc::new(ScriptedFault::once(1, FaultMode::Panic)));
     let target = wire_target();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        optimizer(RecoveryPolicy::Off).optimize(&sim, &target)
+        optimizer(RecoveryPolicy::Off).optimize(&sim, &target, &RunControl::new())
     }));
     assert!(outcome.is_err(), "guard-off panic must propagate");
 }
@@ -216,7 +218,7 @@ fn persistent_fault_gives_up_gracefully_under_on() {
         .max_iterations(12)
         .recovery(guard_on())
         .build()
-        .optimize(&sim, &target)
+        .optimize(&sim, &target, &RunControl::new())
         .expect("On policy ends gracefully");
     assert!(result.diagnostics.gave_up);
     assert_eq!(
@@ -243,7 +245,7 @@ fn persistent_fault_is_an_error_under_strict() {
         .max_iterations(12)
         .recovery(RecoveryPolicy::Strict(GuardConfig::default()))
         .build()
-        .optimize(&sim, &target)
+        .optimize(&sim, &target, &RunControl::new())
         .expect_err("Strict policy fails hard");
     match err {
         OptimizeError::RecoveryFailed {
@@ -263,7 +265,7 @@ fn recovery_halves_lambda_and_records_it_in_history() {
     let sim = faulty_sim(Arc::new(ScriptedFault::once(2, FaultMode::NanGradient)));
     let target = wire_target();
     let result = optimizer(guard_on())
-        .optimize(&sim, &target)
+        .optimize(&sim, &target, &RunControl::new())
         .expect("recovers");
     assert_eq!(result.history.len(), ITERS);
     // Before the fault: untouched scale. At the fault: rolled back and

@@ -11,7 +11,7 @@
 //! final mask, and the final level-set function — any reordering of
 //! floating-point operations in the f64 path changes it.
 
-use lsopc_core::{IltResult, LevelSetIlt};
+use lsopc_core::{IltResult, LevelSetIlt, RunControl};
 use lsopc_grid::Grid;
 use lsopc_litho::LithoSimulator;
 use lsopc_optics::OpticsConfig;
@@ -79,7 +79,7 @@ fn plain_path_is_bit_identical_to_pre_refactor_output() {
     let result = LevelSetIlt::builder()
         .max_iterations(8)
         .build()
-        .optimize(&sim(), &wire_target())
+        .optimize(&sim(), &wire_target(), &RunControl::new())
         .expect("optimization runs");
     let hash = result_hash(&result);
     println!("plain golden hash: {hash:#018x}");
@@ -93,7 +93,7 @@ fn line_search_path_is_bit_identical_to_pre_refactor_output() {
         .lambda_t(4.0)
         .line_search(true)
         .build()
-        .optimize(&sim(), &wire_target())
+        .optimize(&sim(), &wire_target(), &RunControl::new())
         .expect("optimization runs");
     let hash = result_hash(&result);
     println!("line-search golden hash: {hash:#018x}");

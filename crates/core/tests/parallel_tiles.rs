@@ -1,12 +1,20 @@
 //! Parallel == serial bit-identity for tiled optimization.
 
-use lsopc_core::{LevelSetIlt, TiledIlt, WarmStartCache};
+use lsopc_core::{LevelSetIlt, RunControl, TiledIlt, WarmStartCache};
 use lsopc_grid::Grid;
+use lsopc_litho::LithoSimulator;
 use lsopc_optics::OpticsConfig;
 use lsopc_parallel::ParallelContext;
 
 fn optics() -> OpticsConfig {
     OpticsConfig::iccad2013().with_kernel_count(4)
+}
+
+/// The 256-px tile window (128 core + 2·64 halo) at the 4 nm pitch.
+fn tile_sim() -> LithoSimulator {
+    LithoSimulator::from_optics(&optics(), 256, 4.0)
+        .expect("valid")
+        .with_accelerated_backend(1)
 }
 
 /// Two features in different tiles of a 256-px target.
@@ -46,17 +54,17 @@ fn repeated_tile_target() -> Grid<f64> {
 fn tiled_masks_are_thread_count_invariant() {
     let target = two_tile_target();
     let opt = LevelSetIlt::builder().max_iterations(4).build();
-    let reference = TiledIlt::new(opt.clone(), 128, 64)
+    let (reference, _) = TiledIlt::new(opt.clone(), 128, 64)
         .expect("valid tiling")
         .with_context(ParallelContext::new(1))
-        .optimize(&optics(), &target, 4.0)
+        .optimize(&tile_sim(), &target, &RunControl::new())
         .expect("serial tiles run");
     assert!(reference.sum() > 0.0, "premise: a non-trivial mask");
     for threads in [2usize, 3, 8] {
-        let got = TiledIlt::new(opt.clone(), 128, 64)
+        let (got, _) = TiledIlt::new(opt.clone(), 128, 64)
             .expect("valid tiling")
             .with_context(ParallelContext::new(threads))
-            .optimize(&optics(), &target, 4.0)
+            .optimize(&tile_sim(), &target, &RunControl::new())
             .expect("parallel tiles run");
         for (a, b) in got.as_slice().iter().zip(reference.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -78,7 +86,7 @@ fn warm_started_tiled_masks_are_thread_count_invariant() {
             .expect("valid tiling")
             .with_warm_start(WarmStartCache::in_memory())
             .with_context(ParallelContext::new(threads))
-            .optimize_with_stats(&optics(), &target, 4.0)
+            .optimize(&tile_sim(), &target, &RunControl::new())
             .expect("warm tiles run")
     };
     let (reference, stats) = run(1);

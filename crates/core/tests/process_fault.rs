@@ -77,7 +77,7 @@ fn mid_evaluation_cancel_checkpoints_and_resumes_bit_identically() {
     let target = wire_target();
     let ilt = optimizer();
     let baseline = ilt
-        .optimize(&clean_sim(), &target)
+        .optimize(&clean_sim(), &target, &RunControl::new())
         .expect("uninterrupted baseline");
 
     for k in [0, 3, ITERS - 2] {
@@ -93,7 +93,7 @@ fn mid_evaluation_cancel_checkpoints_and_resumes_bit_identically() {
             .with_cancel(token)
             .with_checkpoint(CheckpointSpec::new(&ck, 1));
         let killed = ilt
-            .optimize_controlled(&sim, &target, &control)
+            .optimize(&sim, &target, &control)
             .expect("cancelled run is graceful");
         assert_eq!(killed.stopped, Some(StopReason::External), "k={k}");
         assert!(
@@ -106,7 +106,7 @@ fn mid_evaluation_cancel_checkpoints_and_resumes_bit_identically() {
         // The injector never touched the numbers, so the resumed run
         // must land exactly on the uninterrupted trajectory.
         let resumed = ilt
-            .optimize_controlled(&clean_sim(), &target, &RunControl::new().with_resume(&ck))
+            .optimize(&clean_sim(), &target, &RunControl::new().with_resume(&ck))
             .expect("resume runs");
         assert_bit_identical(&baseline, &resumed, &format!("cancel k={k}"));
         std::fs::remove_file(ck).ok();
@@ -121,7 +121,7 @@ fn valid_checkpoint(name: &str) -> (PathBuf, Vec<u8>) {
         .with_iteration_budget(3)
         .with_checkpoint(CheckpointSpec::new(&ck, 1));
     optimizer()
-        .optimize_controlled(&clean_sim(), &wire_target(), &control)
+        .optimize(&clean_sim(), &wire_target(), &control)
         .expect("checkpointed run");
     let bytes = std::fs::read(&ck).expect("checkpoint bytes");
     (ck, bytes)
@@ -129,7 +129,7 @@ fn valid_checkpoint(name: &str) -> (PathBuf, Vec<u8>) {
 
 fn resume_err(ck: &std::path::Path) -> OptimizeError {
     optimizer()
-        .optimize_controlled(
+        .optimize(
             &clean_sim(),
             &wire_target(),
             &RunControl::new().with_resume(ck),
@@ -201,7 +201,7 @@ fn checkpoint_from_other_configuration_is_refused() {
     let (ck, _) = valid_checkpoint("confighash.lsckpt");
     let other = LevelSetIlt::builder().max_iterations(ITERS + 1).build();
     let err = other
-        .optimize_controlled(
+        .optimize(
             &clean_sim(),
             &wire_target(),
             &RunControl::new().with_resume(&ck),

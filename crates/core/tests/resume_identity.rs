@@ -95,7 +95,9 @@ fn assert_bit_identical(a: &IltResult, b: &IltResult, what: &str) {
 fn check_kill_resume(ilt: &LevelSetIlt, grid_px: usize, k: usize, name: &str) {
     let sim = sim(grid_px);
     let target = wire_target(grid_px);
-    let baseline = ilt.optimize(&sim, &target).expect("baseline run");
+    let baseline = ilt
+        .optimize(&sim, &target, &RunControl::new())
+        .expect("baseline run");
 
     let ck = tmp_ck(&format!("{name}_k{k}"));
     std::fs::remove_file(&ck).ok();
@@ -105,9 +107,7 @@ fn check_kill_resume(ilt: &LevelSetIlt, grid_px: usize, k: usize, name: &str) {
     let control = RunControl::new()
         .with_iteration_budget(k)
         .with_checkpoint(CheckpointSpec::new(&ck, 1));
-    let killed = ilt
-        .optimize_controlled(&sim, &target, &control)
-        .expect("killed run");
+    let killed = ilt.optimize(&sim, &target, &control).expect("killed run");
     assert_eq!(
         killed.stopped,
         Some(StopReason::Budget),
@@ -116,7 +116,7 @@ fn check_kill_resume(ilt: &LevelSetIlt, grid_px: usize, k: usize, name: &str) {
     assert!(ck.exists(), "{name} k={k}: checkpoint written");
 
     let resumed = ilt
-        .optimize_controlled(&sim, &target, &RunControl::new().with_resume(&ck))
+        .optimize(&sim, &target, &RunControl::new().with_resume(&ck))
         .expect("resumed run");
     assert!(
         resumed.stopped.is_none(),

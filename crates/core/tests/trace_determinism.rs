@@ -3,7 +3,7 @@
 //! run. `scripts/check.sh` runs this binary under both `LSOPC_THREADS=1`
 //! and `LSOPC_THREADS=4` to pin the property at both pool sizes.
 
-use lsopc_core::{IltResult, LevelSetIlt};
+use lsopc_core::{IltResult, LevelSetIlt, RunControl};
 use lsopc_grid::Grid;
 use lsopc_litho::LithoSimulator;
 use lsopc_optics::OpticsConfig;
@@ -29,7 +29,7 @@ fn run() -> IltResult {
     LevelSetIlt::builder()
         .max_iterations(5)
         .build()
-        .optimize(&sim, &wire_target())
+        .optimize(&sim, &wire_target(), &RunControl::new())
         .expect("optimize runs")
 }
 

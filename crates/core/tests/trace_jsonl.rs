@@ -7,7 +7,7 @@
 //! (`cargo test -p lsopc-core --features fault-injection`).
 #![cfg(feature = "fault-injection")]
 
-use lsopc_core::{GuardConfig, LevelSetIlt, RecoveryPolicy};
+use lsopc_core::{GuardConfig, LevelSetIlt, RecoveryPolicy, RunControl};
 use lsopc_grid::Grid;
 use lsopc_litho::{FaultMode, LithoSimulator, ScriptedFault};
 use lsopc_optics::OpticsConfig;
@@ -53,7 +53,7 @@ fn fault_run_streams_wellformed_jsonl() {
         .max_iterations(3)
         .recovery(RecoveryPolicy::On(GuardConfig::default()))
         .build()
-        .optimize(&sim, &target)
+        .optimize(&sim, &target, &RunControl::new())
         .expect("optimize recovers");
     lsopc_trace::flush();
     lsopc_trace::uninstall();

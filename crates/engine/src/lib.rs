@@ -53,8 +53,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use lsopc_core::{
-    GuardConfig, IltResult, LevelSetIlt, OptimizeError, RecoveryPolicy, ResolutionSchedule,
-    RunControl, StopReason, TiledError, TiledIlt, TiledStats, WarmStartCache,
+    tile_window, GuardConfig, IltResult, LevelSetIlt, OptimizeError, RecoveryPolicy,
+    ResolutionSchedule, RunControl, StopReason, TiledError, TiledIlt, TiledStats, WarmStartCache,
 };
 use lsopc_geometry::Layout;
 use lsopc_grid::{Grid, Scalar};
@@ -114,13 +114,11 @@ pub struct Tiling {
 
 impl Tiling {
     /// Validates the geometry with the tiled optimizer's own rules
-    /// (positive core, halo smaller than the core, core + 2·halo a
-    /// power of two). Errors carry the optimizer's exact wording, so a
-    /// host can reject the configuration before any I/O happens.
+    /// ([`tile_window`]: positive core, halo smaller than the core,
+    /// core + 2·halo a power of two), so a host can reject the
+    /// configuration before any I/O happens.
     pub fn new(core: usize, halo: usize) -> Result<Self, TiledError> {
-        // The geometry checks live in TiledIlt::new; a throwaway
-        // optimizer config makes them available at spec-building time.
-        TiledIlt::new(LevelSetIlt::builder().build(), core, halo)?;
+        tile_window(core, halo)?;
         Ok(Self { core, halo })
     }
 
@@ -433,8 +431,9 @@ impl JobOutcome {
 }
 
 /// Simulator cache key: everything that feeds simulator construction —
-/// grid size, kernel count and the loop scalar type.
-type SimKey = (usize, usize, TypeId);
+/// grid size, kernel count, pixel pitch (as bits: a tile window keeps
+/// the full field's pitch) and the loop scalar type.
+type SimKey = (usize, usize, u64, TypeId);
 
 #[derive(Debug)]
 struct Inner {
@@ -523,14 +522,16 @@ impl Engine {
         OpticsConfig::iccad2013().with_kernel_count(kernels)
     }
 
-    /// The cached simulator at precision `T` for a grid/kernel-count
-    /// pair (building it on first use).
+    /// The cached simulator at precision `T` for a grid of `grid`
+    /// pixels of `pixel_nm` each and `kernels` SOCS kernels (building
+    /// it on first use).
     fn sim<T: Scalar>(
         &self,
         grid: usize,
         kernels: usize,
+        pixel_nm: f64,
     ) -> Result<Arc<LithoSimulator<T>>, EngineError> {
-        let key = (grid, kernels, TypeId::of::<T>());
+        let key = (grid, kernels, pixel_nm.to_bits(), TypeId::of::<T>());
         let mut sims = self.inner.sims.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(sim) = sims.get(&key) {
             return Ok(Arc::clone(sim)
@@ -539,7 +540,7 @@ impl Engine {
         }
         let backend = AcceleratedBackend::new(self.inner.pool_threads);
         let sim = Arc::new(
-            LithoSimulator::<T>::from_optics(&Self::optics(kernels), grid, pixel_nm(grid))?
+            LithoSimulator::<T>::from_optics(&Self::optics(kernels), grid, pixel_nm)?
                 .with_backend(Box::new(backend))
                 .with_caches(self.inner.caches.clone()),
         );
@@ -558,7 +559,7 @@ impl Engine {
         kernels: usize,
         _rfft: Option<bool>,
     ) -> Result<Scorer, EngineError> {
-        let sim = self.sim::<f64>(grid, kernels)?;
+        let sim = self.sim::<f64>(grid, kernels, pixel_nm(grid))?;
         Ok(Scorer { sim })
     }
 
@@ -608,19 +609,19 @@ impl Engine {
             .build();
 
         if let Some(tiling) = spec.tiling {
-            return self.submit_tiled(spec, &optics, ilt, tiling);
+            return self.submit_tiled(spec, ilt, tiling);
         }
 
+        let px = pixel_nm(grid);
         let result = match spec.precision {
             Precision::F64 => {
-                let sim = self.sim::<f64>(grid, spec.kernels)?;
-                ilt.optimize_controlled(&sim, &spec.target, &spec.control)?
+                let sim = self.sim::<f64>(grid, spec.kernels, px)?;
+                ilt.optimize(&sim, &spec.target, &spec.control)?
             }
             Precision::F32 => {
-                let sim = self.sim::<f32>(grid, spec.kernels)?;
+                let sim = self.sim::<f32>(grid, spec.kernels, px)?;
                 let target32 = spec.target.map(|&v| v as f32);
-                ilt.optimize_controlled(&sim, &target32, &spec.control)?
-                    .to_f64()
+                ilt.optimize(&sim, &target32, &spec.control)?.to_f64()
             }
         };
         Ok(JobOutcome {
@@ -634,7 +635,6 @@ impl Engine {
     fn submit_tiled(
         &self,
         spec: &JobSpec,
-        optics: &OpticsConfig,
         ilt: LevelSetIlt,
         tiling: Tiling,
     ) -> Result<JobOutcome, EngineError> {
@@ -662,12 +662,11 @@ impl Engine {
         if spec.warm_iterations > 0 {
             tiled = tiled.with_warm_iterations(spec.warm_iterations);
         }
-        tiled = tiled
-            .with_run_control(spec.control.clone())
-            .with_caches(self.inner.caches.clone());
+        // Every tile solves on the engine's cached window simulator: one
+        // window of the full field's pitch.
+        let sim = self.sim::<f64>(tiling.window(), spec.kernels, pixel_nm(spec.grid()))?;
         let started = Instant::now();
-        let (mask, stats) =
-            tiled.optimize_with_stats(optics, &spec.target, pixel_nm(spec.grid()))?;
+        let (mask, stats) = tiled.optimize(&sim, &spec.target, &spec.control)?;
         Ok(JobOutcome {
             runtime_s: started.elapsed().as_secs_f64(),
             stopped: stats.stopped,
@@ -960,12 +959,17 @@ mod tests {
         let again = engine.scorer(128, 4, None).expect("scorer rebuilds");
         assert!(Arc::ptr_eq(&scorer.sim, &again.sim));
         // The f64 job ran on that same simulator; an f32 job gets its own.
-        let job_sim = engine.sim::<f64>(128, 4).expect("cached");
+        let px = pixel_nm(128);
+        let job_sim = engine.sim::<f64>(128, 4, px).expect("cached");
         assert!(Arc::ptr_eq(&scorer.sim, &job_sim));
-        let f32_sim = engine.sim::<f32>(128, 4).expect("builds");
+        let f32_sim = engine.sim::<f32>(128, 4, px).expect("builds");
         assert!(Arc::ptr_eq(
             &f32_sim,
-            &engine.sim::<f32>(128, 4).expect("cached")
+            &engine.sim::<f32>(128, 4, px).expect("cached")
         ));
+        // A tile window of the same size at a finer pitch is another
+        // simulator.
+        let window = engine.sim::<f64>(128, 4, px / 2.0).expect("builds");
+        assert!(!Arc::ptr_eq(&job_sim, &window));
     }
 }

@@ -3,7 +3,7 @@
 //! concurrent sessions stay bit-identical with cleanly separated
 //! scoped trace streams.
 
-use lsopc_engine::{Caches, Engine, JobSpec, Precision};
+use lsopc_engine::{Caches, Engine, JobSpec, Precision, Tiling};
 use lsopc_grid::Grid;
 use lsopc_trace::MemorySink;
 use std::sync::Arc;
@@ -170,4 +170,31 @@ fn private_caches_isolate_engines() {
         counter(&sink, "cache.plan.miss") > 0,
         "a fresh engine pays its own cache misses"
     );
+}
+
+/// Tiled jobs solve on the engine's cached window simulator, so a
+/// second identical tiled job generates no optical kernels at all.
+#[test]
+fn second_tiled_submission_reuses_the_window_kernels() {
+    let engine = Engine::builder().caches(Caches::private()).build();
+    let mut spec = JobSpec::new(Grid::from_fn(256, 256, |x, y| {
+        let a = (40..60).contains(&x) && (30..90).contains(&y);
+        let b = (170..190).contains(&x) && (150..220).contains(&y);
+        f64::from(u8::from(a || b))
+    }));
+    (spec.kernels, spec.iterations) = (4, 2);
+    spec.tiling = Some(Tiling::new(64, 32).expect("valid geometry"));
+    let run = || {
+        let outcome = engine.submit(&spec).expect("tiled job runs");
+        let metrics = outcome.metrics.as_ref().expect("metrics collected");
+        let misses = metrics.counters.get("cache.kernels.miss").copied();
+        (outcome.mask().clone(), misses.unwrap_or(0))
+    };
+    let ((first, first_misses), (second, second_misses)) = (run(), run());
+    assert!(
+        first_misses > 0,
+        "the first tiled job builds the window kernels"
+    );
+    assert_eq!(second_misses, 0, "the second tiled job rebuilt kernels");
+    assert_eq!(first, second, "reusing the simulator changed the mask");
 }

@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = LevelSetIlt::builder()
         .max_iterations(iters)
         .build()
-        .optimize(&sim, &target)?;
+        .optimize(&sim, &target, &RunControl::new())?;
     let eval = evaluate_mask(&sim, &result.mask, &layout, &target);
     let score = eval.score(result.runtime_s);
     println!(

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max_iterations(24)
         .snapshot_interval(6)
         .build()
-        .optimize(&sim, &target)?;
+        .optimize(&sim, &target, &RunControl::new())?;
 
     let mut csv = String::from("iteration,contour_id,x_px,y_px\n");
     for (iter, mask) in &result.snapshots {

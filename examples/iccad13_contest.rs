@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sim =
             LithoSimulator::from_optics(&optics, grid_px, pixel_nm)?.with_accelerated_backend(1);
         let target = rasterize(&layout, grid_px, grid_px, pixel_nm);
-        let result = optimizer.optimize(&sim, &target)?;
+        let result = optimizer.optimize(&sim, &target, &RunControl::new())?;
         let eval = evaluate_mask(&sim, &result.mask, &layout, &target);
         let score = eval.score(result.runtime_s);
         println!(

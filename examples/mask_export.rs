@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max_iterations(25)
         .curvature_weight(0.2)
         .build()
-        .optimize(&sim, &target)?;
+        .optimize(&sim, &target, &RunControl::new())?;
 
     // Vectorize the optimized mask back into rectilinear polygons.
     let polygons = mask_to_polygons(&result.mask, pixel_nm);

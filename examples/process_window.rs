@@ -41,10 +41,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     report(&before);
 
     // --- After OPC --------------------------------------------------------
-    let result = LevelSetIlt::builder()
-        .max_iterations(40)
-        .build()
-        .optimize(&sim, &target)?;
+    let result = LevelSetIlt::builder().max_iterations(40).build().optimize(
+        &sim,
+        &target,
+        &RunControl::new(),
+    )?;
     let after = evaluate_mask(&sim, &result.mask, &layout, &target);
     write_pgm(&after.pvb_map, "pvband_after.pgm")?;
     println!(

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max_iterations(40)
         .pvb_weight(1.0)
         .build()
-        .optimize(&sim, &target)?;
+        .optimize(&sim, &target, &RunControl::new())?;
     println!(
         "optimized in {} iterations ({:.2}s), cost {:.1} -> {:.1}",
         result.iterations,

@@ -77,9 +77,12 @@ cargo bench -p lsopc-bench --bench resume -- --test
 echo "==> engine suite (cache amortization + concurrent sessions)"
 # The headless engine must amortize its shared caches across sequential
 # jobs and keep concurrent sessions bit-identical with separated scoped
-# trace streams, at both pool sizes.
+# trace streams, at both pool sizes. The stress binary (run at one
+# lane by the package-wide line) repeats concurrent flat/tiled sessions
+# with mid-run cancellations and nested scoped sinks, then checks every
+# scope closed.
 LSOPC_THREADS=1 cargo test -q -p lsopc-engine
-LSOPC_THREADS=4 cargo test -q -p lsopc-engine --test engine
+LSOPC_THREADS=4 cargo test -q -p lsopc-engine --test engine --test stress
 
 echo "==> trace suite (overhead + determinism at both pool sizes)"
 # The trace layer must only observe: tracing on leaves the optimizer

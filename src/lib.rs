@@ -19,12 +19,13 @@
 //! let optics = OpticsConfig::iccad2013();
 //! let sim = LithoSimulator::from_optics(&optics, 128, 4.0)?;
 //!
-//! // Run the level-set ILT optimizer.
+//! // Run the level-set ILT optimizer (a default `RunControl` imposes no
+//! // deadline, budget or checkpoint).
 //! let target = rasterize(&layout, 128, 128, 4.0);
 //! let result = LevelSetIlt::builder()
 //!     .max_iterations(20)
 //!     .build()
-//!     .optimize(&sim, &target)?;
+//!     .optimize(&sim, &target, &RunControl::new())?;
 //! println!("final cost: {}", result.history.last().expect("iterations").cost_total);
 //! # Ok(())
 //! # }
@@ -50,7 +51,7 @@ pub use lsopc_trace as trace;
 pub mod prelude {
     pub use lsopc_baselines::{MaskOptimizer, PixelIlt, PvOpc, RobustOpc};
     pub use lsopc_benchsuite::Iccad2013Suite;
-    pub use lsopc_core::{IltResult, IterationRecord, LevelSetIlt};
+    pub use lsopc_core::{IltResult, IterationRecord, LevelSetIlt, RunControl};
     pub use lsopc_geometry::{rasterize, Layout, Polygon, Rect};
     pub use lsopc_grid::{Grid, C64};
     pub use lsopc_litho::{LithoSimulator, ProcessCondition, ResistModel};

@@ -19,7 +19,7 @@ fn run(sim: &LithoSimulator) -> lsopc_core::IltResult {
     LevelSetIlt::builder()
         .max_iterations(8)
         .build()
-        .optimize(sim, &target())
+        .optimize(sim, &target(), &RunControl::new())
         .expect("optimization runs")
 }
 

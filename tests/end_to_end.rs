@@ -41,7 +41,7 @@ fn glp_to_optimized_mask_improves_all_metrics() {
     let result = LevelSetIlt::builder()
         .max_iterations(20)
         .build()
-        .optimize(&sim, &target)
+        .optimize(&sim, &target, &RunControl::new())
         .expect("optimization runs");
     let after = evaluate_mask(&sim, &result.mask, &layout, &target);
 
@@ -79,7 +79,7 @@ fn optimized_mask_prints_closer_to_target_than_target_itself() {
     let result = LevelSetIlt::builder()
         .max_iterations(20)
         .build()
-        .optimize(&sim, &target)
+        .optimize(&sim, &target, &RunControl::new())
         .expect("optimization runs");
 
     let printed_naive = sim.print(&target, ProcessCondition::NOMINAL);
@@ -109,7 +109,7 @@ fn pvb_weight_trades_pvb_for_fidelity() {
             .max_iterations(15)
             .pvb_weight(w)
             .build()
-            .optimize(&sim, &target)
+            .optimize(&sim, &target, &RunControl::new())
             .expect("optimization runs");
         evaluate_mask(&sim, &result.mask, &layout, &target).pvb_area_nm2
     };

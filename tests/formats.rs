@@ -30,7 +30,7 @@ fn gds_design_optimizes_and_exports() {
     let result = LevelSetIlt::builder()
         .max_iterations(10)
         .build()
-        .optimize(&sim, &target)
+        .optimize(&sim, &target, &RunControl::new())
         .expect("optimization runs");
 
     // Mask → polygons → GDSII → back; geometry survives losslessly.

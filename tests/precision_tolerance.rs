@@ -50,7 +50,9 @@ fn run_f32(threads: usize) -> IltResult<f32> {
         .expect("valid configuration")
         .with_accelerated_backend(threads);
     let target = rasterize(&layout(), GRID, GRID, PIXEL_NM).map(|&v| v as f32);
-    ilt().optimize(&sim, &target).expect("f32 run completes")
+    ilt()
+        .optimize(&sim, &target, &RunControl::new())
+        .expect("f32 run completes")
 }
 
 fn rel_diff(a: f64, b: f64) -> f64 {
@@ -64,7 +66,7 @@ fn f32_completes_the_suite_within_tolerance() {
     let scoring_sim = sim_f64(2);
 
     let ref64 = ilt()
-        .optimize(&scoring_sim, &target)
+        .optimize(&scoring_sim, &target, &RunControl::new())
         .expect("f64 run completes");
     let f32run = run_f32(2).to_f64();
 

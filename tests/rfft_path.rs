@@ -36,7 +36,9 @@ fn run(threads: usize) -> IltResult {
             ParallelContext::new(threads),
         )));
     let target = rasterize(&layout(), GRID, GRID, PIXEL_NM);
-    ilt().optimize(&sim, &target).expect("run completes")
+    ilt()
+        .optimize(&sim, &target, &RunControl::new())
+        .expect("run completes")
 }
 
 #[test]

@@ -30,7 +30,7 @@ fn b4_levelset_beats_uncorrected_mask() {
     let result = LevelSetIlt::builder()
         .max_iterations(10)
         .build()
-        .optimize(&sim, &target)
+        .optimize(&sim, &target, &RunControl::new())
         .expect("optimization runs");
     let after = evaluate_mask(&sim, &result.mask, &layout, &target);
     assert!(after.score(0.0).value() <= before.score(0.0).value());
@@ -61,7 +61,7 @@ fn baseline_and_levelset_run_on_the_same_case() {
     let levelset = LevelSetIlt::builder()
         .max_iterations(6)
         .build()
-        .optimize(&sim, &target)
+        .optimize(&sim, &target, &RunControl::new())
         .expect("levelset runs");
     let uncorrected = evaluate_mask(&sim, &target, &layout, &target);
     let eval_b = evaluate_mask(&sim, &baseline.mask, &layout, &target);
