@@ -21,14 +21,16 @@
 //! * assembles the gradient's band-limited spectrum from small windowed
 //!   convolutions, again finishing with a single full-size inverse FFT.
 //!
-//! Per pass this needs 2–3 full-size FFTs instead of `2K`, a ~20x
-//! reduction at K = 24 that mirrors the paper's measured 71 % runtime
-//! reduction in structure (Table II). Results match [`FftBackend`] to
-//! rounding, which the test-suite pins.
+//! Per pass this needs one full-size inverse FFT (aerial) or one forward
+//! and one inverse (gradient), plus the mask's forward FFT, which one
+//! evaluation shares across all its passes ([`PreparedMask`]) — instead
+//! of `2K`, a ~20x reduction at K = 24 that mirrors the paper's measured
+//! 71 % runtime reduction in structure (Table II). Results match
+//! [`FftBackend`] to rounding, which the test-suite pins.
 //!
 //! [`FftBackend`]: crate::FftBackend
 
-use crate::backend::{fold_kernel_grids, SimBackend};
+use crate::backend::{fold_kernel_grids, PreparedMask, SimBackend};
 use crate::caches::SimCaches;
 use lsopc_fft::{wrap_index, HalfSpectrum};
 use lsopc_grid::{Complex, Grid, Scalar};
@@ -161,8 +163,27 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
     }
 
     fn aerial_image(&self, kernels: &KernelSet<T>, mask: &Grid<T>) -> Grid<T> {
-        let _span = lsopc_trace::span!("backend.accel.aerial");
+        self.aerial_image_prepared(kernels, &SimBackend::<T>::prepare(self, mask))
+    }
+
+    fn gradient(&self, kernels: &KernelSet<T>, mask: &Grid<T>, z: &Grid<T>) -> Grid<T> {
+        self.gradient_prepared(kernels, &SimBackend::<T>::prepare(self, mask), z)
+    }
+
+    /// The one full-size forward FFT of the mask; after it only the band
+    /// matters.
+    fn prepare<'a>(&self, mask: &'a Grid<T>) -> PreparedMask<'a, T> {
         let (w, h) = mask.dims();
+        PreparedMask::with_spectrum(mask, &self.caches.rplan_t::<T>(w, h))
+    }
+
+    fn aerial_image_prepared(
+        &self,
+        kernels: &KernelSet<T>,
+        prepared: &PreparedMask<'_, T>,
+    ) -> Grid<T> {
+        let _span = lsopc_trace::span!("backend.accel.aerial");
+        let (w, h) = prepared.mask().dims();
         let s = kernels.support();
         assert!(
             w >= s && h >= s,
@@ -171,10 +192,7 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
         let nc = Self::coarse_size(s, w.min(h));
         let fft_coarse = self.caches.plan_t::<T>(nc, nc);
         let rfft = self.caches.rplan_t::<T>(w, h);
-
-        // One full-size forward FFT, then only the band matters.
-        let mhat = rfft.forward(mask);
-        let m_window = centered_window_half(&mhat, s);
+        let m_window = centered_window_half(&prepared.spectrum_or_forward(&rfft), s);
 
         // Per-kernel coarse fields; e at full-grid sample points equals the
         // coarse IFFT scaled by nc²/(w·h).
@@ -215,10 +233,15 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
         rfft.inverse_with(&self.ctx, &half)
     }
 
-    fn gradient(&self, kernels: &KernelSet<T>, mask: &Grid<T>, z: &Grid<T>) -> Grid<T> {
+    fn gradient_prepared(
+        &self,
+        kernels: &KernelSet<T>,
+        prepared: &PreparedMask<'_, T>,
+        z: &Grid<T>,
+    ) -> Grid<T> {
         let _span = lsopc_trace::span!("backend.accel.gradient");
-        assert_eq!(mask.dims(), z.dims(), "mask and z dimensions must match");
-        let (w, h) = mask.dims();
+        let (w, h) = prepared.mask().dims();
+        assert_eq!((w, h), z.dims(), "mask and z dimensions must match");
         let s = kernels.support();
         assert!(
             w >= 2 * s - 1 && h >= 2 * s - 1,
@@ -226,11 +249,10 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
             2 * s - 1
         );
 
-        // Two full-size real forward FFTs: the mask and the sensitivity
-        // field.
+        // One full-size real forward FFT of the sensitivity field (the
+        // mask's comes prepared).
         let rfft = self.caches.rplan_t::<T>(w, h);
-        let mhat = rfft.forward(mask);
-        let m_window = centered_window_half(&mhat, s);
+        let m_window = centered_window_half(&prepared.spectrum_or_forward(&rfft), s);
         let zhat = rfft.forward(z);
         // Ẑ on the doubled band (κ − ν reaches offsets up to 2(S/2)·2).
         let big = 2 * s - 1;

@@ -88,6 +88,55 @@ pub(crate) fn batched_kernel_fields<T: Scalar>(
     (ks, fields)
 }
 
+/// A mask with what a backend derives from it once per evaluation, shared
+/// by every aerial and adjoint pass over that mask.
+///
+/// Built by [`SimBackend::prepare`]. The FFT backends store the mask's
+/// real-input half spectrum here, so one evaluation transforms the mask
+/// once however many optical conditions it images; backends that keep
+/// nothing (the default) carry the mask alone.
+#[derive(Debug)]
+pub struct PreparedMask<'a, T: Scalar = f64> {
+    mask: &'a Grid<T>,
+    spectrum: Option<HalfSpectrum<T>>,
+}
+
+impl<'a, T: Scalar> PreparedMask<'a, T> {
+    /// A mask with nothing precomputed.
+    pub(crate) fn new(mask: &'a Grid<T>) -> Self {
+        Self {
+            mask,
+            spectrum: None,
+        }
+    }
+
+    /// The mask.
+    pub fn mask(&self) -> &'a Grid<T> {
+        self.mask
+    }
+
+    /// The mask's real-input half spectrum, computed with `rfft` unless
+    /// the preparing backend already stored it (a wrapper may forward
+    /// the prepared passes but leave `prepare` at its default).
+    pub(crate) fn spectrum_or_forward(
+        &self,
+        rfft: &lsopc_fft::RfftPlan<T>,
+    ) -> std::borrow::Cow<'_, HalfSpectrum<T>> {
+        match &self.spectrum {
+            Some(s) => std::borrow::Cow::Borrowed(s),
+            None => std::borrow::Cow::Owned(rfft.forward(self.mask)),
+        }
+    }
+
+    /// `mask` with its half spectrum taken by `rfft`.
+    pub(crate) fn with_spectrum(mask: &'a Grid<T>, rfft: &lsopc_fft::RfftPlan<T>) -> Self {
+        Self {
+            mask,
+            spectrum: Some(rfft.forward(mask)),
+        }
+    }
+}
+
 /// A compute backend for the Hopkins imaging sum and its adjoint.
 ///
 /// Implementations must produce identical results up to floating-point
@@ -128,6 +177,35 @@ pub trait SimBackend<T: Scalar = f64>: Send + Sync + std::fmt::Debug {
     /// Implementations panic if `mask` and `z` dimensions differ or are
     /// unsupported.
     fn gradient(&self, kernels: &KernelSet<T>, mask: &Grid<T>, z: &Grid<T>) -> Grid<T>;
+
+    /// Precomputes what every pass over `mask` shares (see
+    /// [`PreparedMask`]). The default keeps the mask alone.
+    fn prepare<'a>(&self, mask: &'a Grid<T>) -> PreparedMask<'a, T> {
+        PreparedMask::new(mask)
+    }
+
+    /// [`Self::aerial_image`] of a prepared mask. The default forwards
+    /// to [`Self::aerial_image`]; backends that prepare something
+    /// override both this and [`Self::prepare`], and must return the
+    /// same bits as the unprepared call.
+    fn aerial_image_prepared(
+        &self,
+        kernels: &KernelSet<T>,
+        prepared: &PreparedMask<'_, T>,
+    ) -> Grid<T> {
+        self.aerial_image(kernels, prepared.mask())
+    }
+
+    /// [`Self::gradient`] of a prepared mask, under the same contract as
+    /// [`Self::aerial_image_prepared`].
+    fn gradient_prepared(
+        &self,
+        kernels: &KernelSet<T>,
+        prepared: &PreparedMask<'_, T>,
+        z: &Grid<T>,
+    ) -> Grid<T> {
+        self.gradient(kernels, prepared.mask(), z)
+    }
 
     /// Injects shared cache handles (FFT plans, embedded spectra).
     /// Backends that consult caches store the bundle and route every
@@ -282,11 +360,28 @@ impl<T: Scalar> SimBackend<T> for FftBackend {
     }
 
     fn aerial_image(&self, kernels: &KernelSet<T>, mask: &Grid<T>) -> Grid<T> {
-        let _span = lsopc_trace::span!("backend.fft.aerial");
+        self.aerial_image_prepared(kernels, &SimBackend::<T>::prepare(self, mask))
+    }
+
+    fn gradient(&self, kernels: &KernelSet<T>, mask: &Grid<T>, z: &Grid<T>) -> Grid<T> {
+        self.gradient_prepared(kernels, &SimBackend::<T>::prepare(self, mask), z)
+    }
+
+    fn prepare<'a>(&self, mask: &'a Grid<T>) -> PreparedMask<'a, T> {
         let (w, h) = mask.dims();
+        PreparedMask::with_spectrum(mask, &self.caches.rplan_t::<T>(w, h))
+    }
+
+    fn aerial_image_prepared(
+        &self,
+        kernels: &KernelSet<T>,
+        prepared: &PreparedMask<'_, T>,
+    ) -> Grid<T> {
+        let _span = lsopc_trace::span!("backend.fft.aerial");
+        let (w, h) = prepared.mask().dims();
         let fft = self.caches.plan_t::<T>(w, h);
         let spectra = self.caches.embedded(kernels, w, h);
-        let mhat = self.caches.rplan_t::<T>(w, h).forward(mask);
+        let mhat = prepared.spectrum_or_forward(&self.caches.rplan_t::<T>(w, h));
         let ctx = self.ctx();
         let empty = Grid::new(w, h, T::ZERO);
         fold_kernel_grids(ctx, kernels.len(), &empty, |range, intensity| {
@@ -300,13 +395,18 @@ impl<T: Scalar> SimBackend<T> for FftBackend {
         })
     }
 
-    fn gradient(&self, kernels: &KernelSet<T>, mask: &Grid<T>, z: &Grid<T>) -> Grid<T> {
+    fn gradient_prepared(
+        &self,
+        kernels: &KernelSet<T>,
+        prepared: &PreparedMask<'_, T>,
+        z: &Grid<T>,
+    ) -> Grid<T> {
         let _span = lsopc_trace::span!("backend.fft.gradient");
-        assert_eq!(mask.dims(), z.dims(), "mask and z dimensions must match");
-        let (w, h) = mask.dims();
+        let (w, h) = prepared.mask().dims();
+        assert_eq!((w, h), z.dims(), "mask and z dimensions must match");
         let fft = self.caches.plan_t::<T>(w, h);
         let spectra = self.caches.embedded(kernels, w, h);
-        let mhat = self.caches.rplan_t::<T>(w, h).forward(mask);
+        let mhat = prepared.spectrum_or_forward(&self.caches.rplan_t::<T>(w, h));
         let ctx = self.ctx();
         let empty: Grid<Complex<T>> = Grid::new(w, h, Complex::<T>::ZERO);
         let mut acc = fold_kernel_grids(ctx, kernels.len(), &empty, |range, acc| {

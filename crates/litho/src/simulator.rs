@@ -61,8 +61,8 @@ pub struct PrintedCorners<T: Scalar = f64> {
 /// Forward lithography simulator: optics + resist + backend + corners.
 ///
 /// Kernel sets are generated lazily per defocus value and cached, so
-/// repeated simulation at the three process corners only pays kernel
-/// generation once per corner.
+/// repeated simulation at the process corners only pays kernel
+/// generation once per defocus value.
 ///
 /// The simulator is generic over the scalar precision `T` its forward
 /// and adjoint passes run at (`f64` default; select `f32` with
@@ -186,19 +186,24 @@ impl<T: Scalar> LithoSimulator<T> {
     /// Runs the installed fault injector (if any) against one evaluation.
     /// Called by [`cost_and_gradient`](crate::cost_and_gradient).
     #[cfg(feature = "fault-injection")]
-    pub(crate) fn apply_fault(&self, report: &mut crate::CostReport, gradient: &mut Grid<T>) {
-        if let Some(hook) = &self.fault {
-            let call = hook
-                .calls
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            lsopc_trace::count("fault.hook_calls", 1);
-            // The injector API is `f64` (object-safe); round-trip the
-            // gradient through `f64`. At `T = f64` both casts are the
-            // identity, so the hook sees and writes the exact values.
-            let mut g64 = gradient.map(|v| v.to_f64());
-            hook.injector.inject(call, report, &mut g64);
-            *gradient = g64.map(|&v| T::from_f64(v));
-        }
+    pub(crate) fn apply_fault(
+        &self,
+        mut report: crate::CostReport,
+        gradient: Grid<T>,
+    ) -> (crate::CostReport, Grid<T>) {
+        let Some(hook) = &self.fault else {
+            return (report, gradient);
+        };
+        let call = hook
+            .calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        lsopc_trace::count("fault.hook_calls", 1);
+        // The injector API is `f64` (object-safe); round-trip the
+        // gradient through `f64`. At `T = f64` both casts are the
+        // identity, so the hook sees and writes the exact values.
+        let mut g64 = gradient.map(|v| v.to_f64());
+        hook.injector.inject(call, &mut report, &mut g64);
+        (report, g64.map(|&v| T::from_f64(v)))
     }
 
     /// Number of `cost_and_gradient` evaluations seen by the installed
@@ -298,7 +303,7 @@ impl<T: Scalar> LithoSimulator<T> {
     /// The kernel set for a defocus value (cached; keyed at 1/1000 nm
     /// resolution).
     pub fn kernels_for(&self, defocus_nm: f64) -> Arc<KernelSet<T>> {
-        let key = (defocus_nm * 1000.0).round() as i64;
+        let key = kernel_key(defocus_nm);
         if let Some(k) = self.kernel_cache.read().get(&key) {
             lsopc_trace::count("cache.kernels.hit", 1);
             return Arc::clone(k);
@@ -310,6 +315,32 @@ impl<T: Scalar> LithoSimulator<T> {
             .entry(key)
             .or_insert(generated)
             .clone()
+    }
+
+    /// Conditions, given by their defocus values, grouped by the kernel
+    /// set they image with — one group per distinct [`Self::kernels_for`]
+    /// key, in order of first appearance — as each group's kernels and
+    /// condition indices. Dose enters only the resist, so a group's
+    /// conditions share one aerial image. The kernel cache is warmed
+    /// here, serially, so concurrent passes over the groups never
+    /// generate the same set twice.
+    pub(crate) fn kernel_groups(
+        &self,
+        defocus_nm: impl IntoIterator<Item = f64>,
+    ) -> Vec<(Arc<KernelSet<T>>, Vec<usize>)> {
+        let mut keys: Vec<i64> = Vec::new();
+        let mut groups: Vec<(Arc<KernelSet<T>>, Vec<usize>)> = Vec::new();
+        for (i, defocus) in defocus_nm.into_iter().enumerate() {
+            let key = kernel_key(defocus);
+            match keys.iter().position(|&k| k == key) {
+                Some(g) => groups[g].1.push(i),
+                None => {
+                    keys.push(key);
+                    groups.push((self.kernels_for(defocus), vec![i]));
+                }
+            }
+        }
+        groups
     }
 
     fn check_mask(&self, mask: &Grid<T>) {
@@ -355,9 +386,8 @@ impl<T: Scalar> LithoSimulator<T> {
 
     /// Hard prints at all three process corners.
     ///
-    /// The corners are independent simulations and run concurrently on
-    /// the shared pool (each one's inner kernel fold then runs inline on
-    /// its thread). Results are identical to running them sequentially.
+    /// See [`Self::prints_with`]: the nominal and outer ICCAD corners
+    /// share one aerial image.
     ///
     /// # Panics
     ///
@@ -369,23 +399,57 @@ impl<T: Scalar> LithoSimulator<T> {
     /// [`Self::print_corners`] on an explicit [`ParallelContext`].
     pub fn print_corners_with(&self, ctx: &ParallelContext, mask: &Grid<T>) -> PrintedCorners<T> {
         let _span = lsopc_trace::span!("litho.print_corners");
-        self.check_mask(mask);
-        let corners = [self.corners.nominal, self.corners.inner, self.corners.outer];
-        // Pre-warm the kernel cache serially: concurrent misses on the
-        // same defocus would generate the same kernel set redundantly.
-        for c in &corners {
-            let _ = self.kernels_for(c.defocus_nm);
-        }
-        let mut prints = ctx.par_map(corners.len(), |i| self.print(mask, corners[i]));
-        let outer = prints.pop().expect("three corners");
-        let inner = prints.pop().expect("three corners");
-        let nominal = prints.pop().expect("three corners");
+        let [nominal, inner, outer]: [Grid<T>; 3] = self
+            .prints_with(ctx, mask, &self.corners.as_array())
+            .try_into()
+            .expect("one print per corner");
         PrintedCorners {
             nominal,
             inner,
             outer,
         }
     }
+
+    /// Hard prints at each of `conditions`, in order — bit-identical to
+    /// calling [`Self::print`] per condition.
+    ///
+    /// The mask is transformed once, and each distinct defocus value
+    /// runs one aerial image that all its conditions threshold. The
+    /// aerial images are independent and run concurrently on `ctx`
+    /// (each one's inner kernel fold then runs inline on its thread);
+    /// results are identical to running them sequentially.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask dimensions do not match the simulator grid.
+    pub fn prints_with(
+        &self,
+        ctx: &ParallelContext,
+        mask: &Grid<T>,
+        conditions: &[ProcessCondition],
+    ) -> Vec<Grid<T>> {
+        self.check_mask(mask);
+        let groups = self.kernel_groups(conditions.iter().map(|c| c.defocus_nm));
+        let prepared = self.backend.prepare(mask);
+        let aerials = ctx.par_map(groups.len(), |g| {
+            self.backend.aerial_image_prepared(&groups[g].0, &prepared)
+        });
+        let mut prints: Vec<Option<Grid<T>>> = vec![None; conditions.len()];
+        for ((_, members), aerial) in groups.iter().zip(&aerials) {
+            for &i in members {
+                prints[i] = Some(self.resist.print(aerial, conditions[i].dose));
+            }
+        }
+        prints
+            .into_iter()
+            .map(|p| p.expect("every condition belongs to a group"))
+            .collect()
+    }
+}
+
+/// The kernel-cache key of a defocus value: 1/1000 nm resolution.
+fn kernel_key(defocus_nm: f64) -> i64 {
+    (defocus_nm * 1000.0).round() as i64
 }
 
 #[cfg(test)]

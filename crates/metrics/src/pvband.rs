@@ -56,9 +56,10 @@ impl PvBand {
     /// Simulates `mask` at the innermost and outermost process corners
     /// and measures the band between the two prints.
     ///
-    /// The two corner simulations are independent and run concurrently on
-    /// the shared pool; results are identical to simulating them one
-    /// after the other.
+    /// The prints come from [`LithoSimulator::prints_with`]: one mask
+    /// transform, and the corners' aerial images run concurrently on the
+    /// shared pool; results are identical to simulating them one after
+    /// the other.
     ///
     /// # Panics
     ///
@@ -71,12 +72,7 @@ impl PvBand {
     pub fn simulate_with(ctx: &ParallelContext, sim: &LithoSimulator, mask: &Grid<f64>) -> Self {
         let _span = lsopc_trace::span!("pvband.simulate");
         let corners = [sim.corners().inner, sim.corners().outer];
-        // Warm the kernel cache serially so concurrent corners don't
-        // both generate the same defocus kernels on a cache miss.
-        for c in &corners {
-            let _ = sim.kernels_for(c.defocus_nm);
-        }
-        let prints = ctx.par_map(corners.len(), |i| sim.print(mask, corners[i]));
+        let prints = sim.prints_with(ctx, mask, &corners);
         Self::measure(&prints[0], &prints[1], sim.pixel_nm())
     }
 }

@@ -17,6 +17,12 @@ echo "==> cargo build --release --workspace"
 # target/release/lsopc (a root-only build skips the CLI binary).
 cargo build --release --workspace
 
+echo "==> cargo build perfbench (the end-to-end benchmark's own package)"
+# perfbench/ is a package of its own outside the workspace, with its own
+# SimBackend wrapper; a library change that breaks it must fail here,
+# not first in a benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test (workspace, LSOPC_THREADS=1)"
 LSOPC_THREADS=1 cargo test -q --workspace
 
