@@ -2,7 +2,7 @@
 //!
 //! `disabled_*` measures the fast path every instrumentation point pays
 //! when no sink is installed (one relaxed atomic load) — the number the
-//! <1% production-overhead budget rests on. `memory_*` and `jsonl_*`
+//! <1% production-overhead budget rests on. `registry_*` and `jsonl_*`
 //! measure the full per-event cost with a sink attached, and
 //! `traced_sim_pass` puts the end-to-end effect on a real 512²/K=8
 //! aerial pass next to its untraced twin.
@@ -57,15 +57,15 @@ fn bench_trace(c: &mut Criterion) {
         b.iter(|| backend.aerial_image(&ks, &m))
     });
 
-    // Full per-event cost with the in-memory aggregator attached.
-    let memory = Arc::new(lsopc_trace::MemorySink::new());
-    lsopc_trace::install(memory.clone());
-    group.bench_function("memory_span", |b| {
+    // Full per-event cost with the metrics registry attached.
+    let registry = Arc::new(lsopc_trace::MetricsRegistry::new());
+    lsopc_trace::install(registry.clone());
+    group.bench_function("registry_span", |b| {
         b.iter(|| {
             let _ = std::hint::black_box(lsopc_trace::span!("bench.probe"));
         })
     });
-    group.bench_function("memory_count", |b| {
+    group.bench_function("registry_count", |b| {
         b.iter(|| lsopc_trace::count("bench.probe", std::hint::black_box(1)))
     });
     group.bench_function("traced_sim_pass", |b| {

@@ -3,19 +3,18 @@
 //! backends.
 //!
 //! ```text
-//! cargo run -p lsopc-bench --release --bin table2 [--grid 512] [--cases 1,2] [--threads 1]
+//! cargo run -p lsopc-bench --release --bin table2 [--grid 512] [--cases 1,2]
 //! ```
 //!
 //! Prints the measured runtimes, the paper's reference runtimes, the
 //! CPU→GPU reduction, and writes `results/table2.csv`.
 
 use lsopc_bench::report::{render_table2, write_csv};
-use lsopc_bench::runner::config_from_args;
+use lsopc_bench::runner::config_from_cli;
 use lsopc_bench::{paper, run_suite, Method};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = config_from_args(&args);
+    let cfg = config_from_cli();
     let methods = Method::all();
 
     eprintln!(
@@ -23,7 +22,7 @@ fn main() {
         cfg.grid_px,
         cfg.pixel_nm(),
         cfg.kernel_count,
-        cfg.threads
+        lsopc_parallel::ParallelContext::global().threads()
     );
 
     let outcomes = run_suite(&methods, &cfg);

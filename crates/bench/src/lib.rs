@@ -14,7 +14,10 @@
 //!
 //! Common flags: `--grid <px>` (default 512, i.e. 4 nm/px over the 2048 nm
 //! field; `--grid 2048` reproduces the contest's 1 nm/px), `--cases 1,3`
-//! to subset, `--kernels <K>` (default 24), `--iters <N>`.
+//! to subset, `--kernels <K>` (default 24), `--iters <N>`. Any other
+//! argument, or a value that does not parse, exits with status 2. Every
+//! method runs on the global worker pool (`LSOPC_THREADS`, default: all
+//! cores).
 //!
 //! The library part hosts the shared runner ([`run_suite`]), the method
 //! registry ([`Method`]) and the paper's reference numbers ([`paper`]).

@@ -83,8 +83,6 @@ pub struct ExperimentConfig {
     pub levelset_iterations: usize,
     /// Iteration budgets of the baselines (fast, exact, robust, pvopc).
     pub baseline_iterations: [usize; 4],
-    /// Thread fan-out of the accelerated backend.
-    pub threads: usize,
     /// Case indices to run (0-based; empty = all ten).
     pub case_filter: Vec<usize>,
 }
@@ -100,7 +98,6 @@ impl ExperimentConfig {
             kernel_count: 24,
             levelset_iterations: 50,
             baseline_iterations: [50, 80, 25, 15],
-            threads: 1,
             case_filter: Vec::new(),
         }
     }
@@ -120,12 +117,13 @@ impl ExperimentConfig {
         let optics = OpticsConfig::iccad2013().with_kernel_count(self.kernel_count);
         let sim = LithoSimulator::from_optics(&optics, self.grid_px, self.pixel_nm())
             .expect("valid experiment configuration");
+        // The "GPU" column runs the accelerated backend, every other
+        // method the per-kernel FFT path; all of them fan out over the
+        // same global pool (`LSOPC_THREADS=1` gives a one-lane run).
         match method {
-            // The level-set "GPU" column and all pixel baselines run on
-            // the accelerated backend (the paper's baselines are equally
-            // FFT-based); the "CPU" column uses the per-kernel FFT path.
-            Method::LevelSetCpu => sim,
-            Method::LevelSetGpu => sim.with_accelerated_backend(self.threads),
+            Method::LevelSetGpu => {
+                sim.with_accelerated_backend(lsopc_parallel::ParallelContext::global().threads())
+            }
             _ => sim,
         }
     }
@@ -266,48 +264,55 @@ pub fn run_suite(methods: &[Method], cfg: &ExperimentConfig) -> Vec<CaseOutcome>
     outcomes
 }
 
-/// Parses the common CLI flags (`--grid`, `--kernels`, `--iters`,
-/// `--threads`, `--cases`) into a config; unknown flags are ignored so
-/// binaries can add their own.
-pub fn config_from_args(args: &[String]) -> ExperimentConfig {
+/// Parses the harness flags (`--grid`, `--kernels`, `--iters`,
+/// `--cases`) into a config. An unknown flag, a flag without its value
+/// or an unparseable value is an error naming the flag.
+pub fn config_from_args(args: &[String]) -> Result<ExperimentConfig, String> {
+    fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+        value
+            .trim()
+            .parse()
+            .map_err(|_| format!("invalid value `{value}` for {flag}"))
+    }
     let mut cfg = ExperimentConfig::default_scale();
     let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--grid" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    cfg.grid_px = v;
-                }
-            }
-            "--kernels" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    cfg.kernel_count = v;
-                }
-            }
+    while let Some(flag) = it.next() {
+        let flag = flag.as_str();
+        if !matches!(flag, "--grid" | "--kernels" | "--iters" | "--cases") {
+            return Err(format!(
+                "unknown flag {flag} (expected --grid, --kernels, --iters or --cases)"
+            ));
+        }
+        let value = it
+            .next()
+            .ok_or_else(|| format!("missing value for {flag}"))?;
+        match flag {
+            "--grid" => cfg.grid_px = parse(flag, value)?,
+            "--kernels" => cfg.kernel_count = parse(flag, value)?,
             "--iters" => {
-                if let Some(v) = it.next().and_then(|s| s.parse::<usize>().ok()) {
-                    cfg.levelset_iterations = v;
-                    cfg.baseline_iterations = [v, v, v, v];
-                }
+                cfg.levelset_iterations = parse(flag, value)?;
+                cfg.baseline_iterations = [cfg.levelset_iterations; 4];
             }
-            "--threads" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    cfg.threads = v;
-                }
+            _ => {
+                cfg.case_filter = value
+                    .split(',')
+                    .map(|t| parse(flag, t).map(|one_based: usize| one_based.saturating_sub(1)))
+                    .collect::<Result<_, _>>()?;
             }
-            "--cases" => {
-                if let Some(list) = it.next() {
-                    cfg.case_filter = list
-                        .split(',')
-                        .filter_map(|t| t.trim().parse::<usize>().ok())
-                        .map(|one_based: usize| one_based.saturating_sub(1))
-                        .collect();
-                }
-            }
-            _ => {}
         }
     }
-    cfg
+    Ok(cfg)
+}
+
+/// [`config_from_args`] over the process arguments, for the harness
+/// binaries: a bad flag prints `error: …` and exits with status 2.
+pub fn config_from_cli() -> ExperimentConfig {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    config_from_args(&args).unwrap_or_else(|e| {
+        // allow-print: the harness binaries' usage error.
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 #[cfg(test)]
@@ -340,20 +345,34 @@ mod tests {
             "8",
             "--iters",
             "5",
-            "--threads",
-            "2",
             "--cases",
             "1,4",
         ]
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let cfg = config_from_args(&args);
+        let cfg = config_from_args(&args).expect("valid flags");
         assert_eq!(cfg.grid_px, 256);
         assert_eq!(cfg.kernel_count, 8);
         assert_eq!(cfg.levelset_iterations, 5);
-        assert_eq!(cfg.threads, 2);
+        assert_eq!(cfg.baseline_iterations, [5; 4]);
         assert_eq!(cfg.case_filter, vec![0, 3]);
+    }
+
+    #[test]
+    fn bad_flags_are_errors_naming_the_flag() {
+        let rows: [(&[&str], &str); 5] = [
+            (&["--grid", "abc"], "--grid"),
+            (&["--threads", "1"], "--threads"),
+            (&["--cases", "1,x"], "--cases"),
+            (&["--iters"], "--iters"),
+            (&["stray"], "stray"),
+        ];
+        for (args, flag) in rows {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let err = config_from_args(&args).expect_err("rejected");
+            assert!(err.contains(flag), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use lsopc_geometry::{
 };
 use lsopc_grid::Grid;
 use lsopc_metrics::{render_report, MaskComplexity, MrcReport};
-use lsopc_trace::{FanoutSink, JsonlSink, MemorySink, TraceSink};
+use lsopc_trace::{FanoutSink, JsonlSink, MetricsRegistry, TraceSink};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -185,14 +185,15 @@ impl From<String> for CliError {
 /// process.
 struct CommandTrace {
     sink: Option<Arc<dyn TraceSink>>,
-    memory: Option<Arc<MemorySink>>,
+    registry: Option<Arc<MetricsRegistry>>,
     metrics_path: Option<String>,
 }
 
 impl CommandTrace {
-    /// Builds the sinks the flags ask for (none when neither `--trace`
-    /// nor `--metrics` is present).
-    fn start(flags: &Flags) -> Result<Self, CliError> {
+    /// Builds the sinks the flags ask for: a JSONL stream for
+    /// `--trace`, a metrics registry for `--metrics` or when `aggregate`
+    /// is set (none of them when nothing asks).
+    fn start(flags: &Flags, aggregate: bool) -> Result<Self, CliError> {
         let trace_path = flags.get("trace").filter(|v| !v.is_empty());
         let metrics_path = flags.get("metrics").filter(|v| !v.is_empty());
         let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::new();
@@ -201,9 +202,10 @@ impl CommandTrace {
                 .map_err(|e| CliError::io(format!("cannot create {path}: {e}")))?;
             sinks.push(Arc::new(sink));
         }
-        let memory = metrics_path.map(|_| Arc::new(MemorySink::new()));
-        if let Some(mem) = &memory {
-            sinks.push(mem.clone());
+        let registry =
+            (aggregate || metrics_path.is_some()).then(|| Arc::new(MetricsRegistry::new()));
+        if let Some(registry) = &registry {
+            sinks.push(registry.clone());
         }
         let sink: Option<Arc<dyn TraceSink>> = if sinks.is_empty() {
             None
@@ -212,7 +214,7 @@ impl CommandTrace {
         };
         Ok(Self {
             sink,
-            memory,
+            registry,
             metrics_path: metrics_path.map(str::to_string),
         })
     }
@@ -233,8 +235,8 @@ impl CommandTrace {
         if let Some(sink) = &self.sink {
             sink.flush();
         }
-        if let (Some(mem), Some(path)) = (&self.memory, &self.metrics_path) {
-            std::fs::write(path, mem.report().to_json())
+        if let (Some(registry), Some(path)) = (&self.registry, &self.metrics_path) {
+            std::fs::write(path, registry.report().to_json())
                 .map_err(|e| CliError::io(format!("cannot write {path}: {e}")))?;
         }
         Ok(())
@@ -250,7 +252,7 @@ fn load_layout(path: &str) -> Result<Layout, CliError> {
 /// `lsopc optimize`: design in, optimized mask out.
 pub fn optimize(args: &[String]) -> CliResult {
     let flags = Flags::parse(args, &args::OPTIMIZE)?;
-    let session = CommandTrace::start(&flags)?;
+    let session = CommandTrace::start(&flags, false)?;
     session.run(|| optimize_run(&flags))
 }
 
@@ -454,7 +456,7 @@ pub fn report(args: &[String]) -> CliResult {
 /// `lsopc suite`: run the level-set method over the built-in benchmarks.
 pub fn suite(args: &[String]) -> CliResult {
     let flags = Flags::parse(args, &args::SUITE)?;
-    let session = CommandTrace::start(&flags)?;
+    let session = CommandTrace::start(&flags, false)?;
     session.run(|| suite_run(&flags))
 }
 
@@ -590,8 +592,9 @@ fn synthetic_layout(pattern: &str) -> Result<Layout, CliError> {
     parse_glp(glp).map_err(|e| CliError::parse(format!("synthetic pattern {pattern}: {e}")))
 }
 
-/// `lsopc profile`: optimize a built-in synthetic pattern under the
-/// in-memory aggregator and print the per-span self/total-time table.
+/// `lsopc profile`: optimize a built-in synthetic pattern with a metrics
+/// registry scoped over the run and print its per-span self/total-time
+/// table (with `--json`, the `--metrics` document instead).
 pub fn profile(args: &[String]) -> CliResult {
     let flags = Flags::parse(args, &args::PROFILE)?;
     let pattern = flags
@@ -609,47 +612,37 @@ pub fn profile(args: &[String]) -> CliResult {
     let design = synthetic_layout(&pattern)?;
     let engine = spec::engine_for(&flags)?;
     let (grid, pixel_nm) = (resolved.grid, lsopc_engine::pixel_nm(resolved.grid));
-    let target = rasterize(&design, grid, grid, pixel_nm);
+    let job = resolved.job(
+        rasterize(&design, grid, grid, pixel_nm),
+        RunControl::default(),
+    );
 
-    // `profile` always aggregates in memory; --trace/--metrics add the
-    // event stream and the JSON document on top. The sinks are scoped
-    // to this job, not installed process-globally.
-    let memory = Arc::new(MemorySink::new());
-    let mut sinks: Vec<Arc<dyn TraceSink>> = vec![memory.clone()];
-    if let Some(path) = flags.get("trace").filter(|v| !v.is_empty()) {
-        let sink = JsonlSink::create(std::path::Path::new(path))
-            .map_err(|e| CliError::io(format!("cannot create {path}: {e}")))?;
-        sinks.push(Arc::new(sink));
-    }
-    let sink: Arc<dyn TraceSink> = Arc::new(FanoutSink::new(sinks));
-    let job = resolved.job(target, RunControl::default());
-    let outcome = lsopc_trace::with_scoped_sink(sink.clone(), || engine.submit(&job));
-    sink.flush();
-    let outcome = outcome.map_err(CliError::from_engine)?;
-    let iterations = match &outcome.detail {
-        JobDetail::Flat(result) => result.iterations,
-        JobDetail::Tiled { stats, .. } => stats.full_iterations() + stats.coarse_iterations,
-    };
-
-    let report = memory.report();
-    if flags.get("json").is_some() {
-        // Machine-readable mode: the same document --metrics writes,
-        // on stdout, with no human header around it.
-        outln!("{}", report.to_json());
-    } else {
-        outln!(
-            "profile: pattern `{pattern}`, {grid} px, K = {}, {iterations} iterations, {} threads, {:.2}s",
-            resolved.kernels,
-            engine.pool_threads(),
-            outcome.runtime_s
-        );
-        out(&report.render_text())?;
-    }
-    if let Some(path) = flags.get("metrics").filter(|v| !v.is_empty()) {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| CliError::io(format!("cannot write {path}: {e}")))?;
-    }
-    Ok(Outcome::Completed)
+    // `profile` always aggregates; --trace/--metrics add the event
+    // stream and the JSON document on top.
+    let trace = CommandTrace::start(&flags, true)?;
+    let registry = trace.registry.clone();
+    trace.run(|| {
+        let outcome = engine.submit(&job).map_err(CliError::from_engine)?;
+        let iterations = match &outcome.detail {
+            JobDetail::Flat(result) => result.iterations,
+            JobDetail::Tiled { stats, .. } => stats.full_iterations() + stats.coarse_iterations,
+        };
+        let report = registry.map(|r| r.report()).unwrap_or_default();
+        if flags.get("json").is_some() {
+            // Machine-readable mode: byte for byte the document
+            // --metrics writes, with no human header around it.
+            out(&report.to_json())?;
+        } else {
+            outln!(
+                "profile: pattern `{pattern}`, {grid} px, K = {}, {iterations} iterations, {} threads, {:.2}s",
+                resolved.kernels,
+                engine.pool_threads(),
+                outcome.runtime_s
+            );
+            out(&report.render_text())?;
+        }
+        Ok(Outcome::Completed)
+    })
 }
 
 /// `lsopc analyze`: read a schema-v1 `--trace` JSONL stream back and

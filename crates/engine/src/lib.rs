@@ -2,8 +2,9 @@
 //!
 //! The CLI front end used to own the whole job pipeline — building
 //! simulators, wiring optimizer flags, installing trace sinks. This
-//! crate carves that layer out behind a library API so other hosts (a
-//! future `lsopc serve`, tests, notebooks) can run the same jobs:
+//! crate carves that layer out behind a library API so other hosts
+//! (tests, benchmarks, notebooks, an embedding service) can run the
+//! same jobs:
 //!
 //! * [`Engine`] — long-lived shared state: one FFT plan / kernel-spectrum
 //!   cache bundle ([`SimCaches`]), the global worker pool, a per-engine
@@ -61,12 +62,13 @@ use lsopc_grid::{Grid, Scalar};
 use lsopc_litho::{AcceleratedBackend, BuildSimulatorError, LithoSimulator, SimCaches};
 use lsopc_metrics::MaskEvaluation;
 use lsopc_optics::OpticsConfig;
-use lsopc_trace::{MetricsRegistry, TraceSink};
+use lsopc_trace::{MetricsRegistry, Report, TraceSink};
 
 // Re-export the types a host needs to build and control jobs without
 // depending on the simulation crates directly.
 pub use lsopc_core::{CancelToken, CheckpointSpec};
 pub use lsopc_litho::SimCaches as Caches;
+pub use lsopc_trace::{CacheStats, SpanSummary};
 
 /// The optical field is always 2048 nm on a side; the grid size sets
 /// the pixels across it.
@@ -278,44 +280,6 @@ pub enum JobDetail {
     },
 }
 
-/// Aggregated timing for one span path over one job.
-#[derive(Clone, Debug)]
-pub struct SpanSummary {
-    /// Full `/`-joined hierarchical span path.
-    pub path: String,
-    /// Times the span closed during the job.
-    pub calls: u64,
-    /// Total wall-clock nanoseconds across all calls.
-    pub total_ns: u64,
-    /// Total minus summed direct-children totals, clamped at 0.
-    pub self_ns: u64,
-    /// Median call duration (log-linear histogram bound, ≤ 6.25% high).
-    pub p50_ns: u64,
-    /// 99th-percentile call duration.
-    pub p99_ns: u64,
-}
-
-/// Hit/miss totals for one cache family during one job.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Cache hits.
-    pub hits: u64,
-    /// Cache misses.
-    pub misses: u64,
-}
-
-impl CacheStats {
-    /// Hit fraction in `[0, 1]`; 0 with no traffic.
-    pub fn ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Telemetry summary of one job, derived from a per-job
 /// [`MetricsRegistry`] scoped over the run — embedders get stage
 /// timings, cache behaviour and guard activity without parsing JSONL.
@@ -345,52 +309,12 @@ pub struct JobMetrics {
 impl JobMetrics {
     /// Derives the summary from a job-scoped registry.
     fn from_registry(registry: &MetricsRegistry, wall_s: f64, stop: Option<StopReason>) -> Self {
-        let counters = registry.counters();
-        // Per-path span stats; self time = total − Σ direct children,
-        // clamped at 0 (the MemorySink rule).
-        let paths = registry.span_paths();
-        let mut totals: BTreeMap<String, u64> = BTreeMap::new();
-        for path in &paths {
-            if let Some(hist) = registry.span_histogram(path) {
-                totals.insert(path.clone(), hist.sum());
-            }
-        }
-        let mut child_sums: BTreeMap<&str, u64> = BTreeMap::new();
-        for (path, total) in &totals {
-            if let Some(idx) = path.rfind('/') {
-                let parent = &path[..idx];
-                if totals.contains_key(parent) {
-                    *child_sums.entry(parent).or_insert(0) += total;
-                }
-            }
-        }
-        let spans = paths
-            .iter()
-            .filter_map(|path| {
-                let hist = registry.span_histogram(path)?;
-                let total_ns = hist.sum();
-                let children = child_sums.get(path.as_str()).copied().unwrap_or(0);
-                Some(SpanSummary {
-                    path: path.clone(),
-                    calls: hist.count(),
-                    total_ns,
-                    self_ns: total_ns.saturating_sub(children),
-                    p50_ns: hist.quantile(0.50),
-                    p99_ns: hist.quantile(0.99),
-                })
-            })
-            .collect();
-        // Cache families: counters shaped `cache.<family>.hit|miss`.
-        let mut caches: BTreeMap<String, CacheStats> = BTreeMap::new();
-        for (name, total) in &counters {
-            if let Some(rest) = name.strip_prefix("cache.") {
-                if let Some(family) = rest.strip_suffix(".hit") {
-                    caches.entry(family.to_string()).or_default().hits += total;
-                } else if let Some(family) = rest.strip_suffix(".miss") {
-                    caches.entry(family.to_string()).or_default().misses += total;
-                }
-            }
-        }
+        let Report {
+            spans,
+            counters,
+            caches,
+            ..
+        } = registry.report();
         let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
         Self {
             wall_s,
@@ -737,8 +661,9 @@ impl Session {
 
     /// Renders the session's aggregated metrics in Prometheus text
     /// exposition format (span-duration histograms with cumulative `le`
-    /// buckets in seconds, counters, gauges) — the scrape payload a
-    /// future `lsopc serve` endpoint publishes per session.
+    /// buckets in seconds, counters, gauges) — a snapshot of every
+    /// [`Session::scoped`] / [`Session::submit`] run so far, for an
+    /// embedding host to serve or log; the CLI does not expose it.
     pub fn exposition(&self) -> String {
         self.registry.render_prometheus()
     }
@@ -893,41 +818,25 @@ mod tests {
         let mut spec = JobSpec::new(small_target());
         spec.kernels = 4;
         spec.iterations = 2;
-        let sink = Arc::new(lsopc_trace::MemorySink::new());
+        let sink = Arc::new(MetricsRegistry::new());
         let session = engine.session().with_sink(sink.clone());
         let outcome = session.submit(&spec).expect("job runs");
         let metrics = outcome.metrics.as_ref().unwrap();
         let report = sink.report();
         for (family, stats) in &metrics.caches {
-            let hits = report
-                .counters
-                .get(&format!("cache.{family}.hit"))
-                .copied()
-                .unwrap_or(0);
-            let misses = report
-                .counters
-                .get(&format!("cache.{family}.miss"))
-                .copied()
-                .unwrap_or(0);
+            let total = |kind: &str| {
+                let name = format!("cache.{family}.{kind}");
+                report.counters.get(&name).copied().unwrap_or(0)
+            };
             assert_eq!(
                 (stats.hits, stats.misses),
-                (hits, misses),
+                (total("hit"), total("miss")),
                 "family {family}"
             );
         }
-        // And the per-job counters must agree with the session stream.
-        // (`iter.*` / `warnings` are synthesized by the registry from
-        // structured events, so the raw stream has no such counters.)
-        for (name, total) in &metrics.counters {
-            if name.starts_with("iter.") || name == "warnings" {
-                continue;
-            }
-            assert_eq!(
-                report.counters.get(name),
-                Some(total),
-                "counter {name} diverged between job metrics and session sink"
-            );
-        }
+        // And the per-job counters — the registry-synthesized `iter.*`
+        // and `warnings` included — must agree with the session stream.
+        assert_eq!(metrics.counters, report.counters);
     }
 
     #[test]

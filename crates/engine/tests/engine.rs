@@ -5,7 +5,7 @@
 
 use lsopc_engine::{Caches, Engine, JobSpec, Precision, Tiling};
 use lsopc_grid::Grid;
-use lsopc_trace::MemorySink;
+use lsopc_trace::MetricsRegistry;
 use std::sync::Arc;
 
 /// A 128px vertical wire; 128px is the smallest power of two whose
@@ -27,7 +27,7 @@ fn small_spec() -> JobSpec {
     spec
 }
 
-fn counter(sink: &MemorySink, name: &str) -> u64 {
+fn counter(sink: &MetricsRegistry, name: &str) -> u64 {
     sink.report().counters.get(name).copied().unwrap_or(0)
 }
 
@@ -42,7 +42,7 @@ fn second_submission_runs_out_of_the_shared_caches() {
     let spec = small_spec();
     assert_eq!(spec.precision, Precision::F64);
 
-    let first_sink = Arc::new(MemorySink::new());
+    let first_sink = Arc::new(MetricsRegistry::new());
     let first = engine
         .session()
         .with_sink(first_sink.clone())
@@ -57,7 +57,7 @@ fn second_submission_runs_out_of_the_shared_caches() {
         "first job builds real-input FFT plans"
     );
 
-    let second_sink = Arc::new(MemorySink::new());
+    let second_sink = Arc::new(MetricsRegistry::new());
     let second = engine
         .session()
         .with_sink(second_sink.clone())
@@ -94,7 +94,7 @@ fn concurrent_sessions_are_bit_identical_with_separate_streams() {
     let run = |marker: &'static str| {
         let engine = engine.clone();
         move || {
-            let sink = Arc::new(MemorySink::new());
+            let sink = Arc::new(MetricsRegistry::new());
             let session = engine.session().with_sink(sink.clone());
             let outcome = session.scoped(|| {
                 lsopc_trace::count(marker, 1);
@@ -139,7 +139,7 @@ fn concurrent_sessions_are_bit_identical_with_separate_streams() {
 #[test]
 fn session_sinks_do_not_leak_across_scopes() {
     let engine = Engine::builder().caches(Caches::private()).build();
-    let sink = Arc::new(MemorySink::new());
+    let sink = Arc::new(MetricsRegistry::new());
     let session = engine.session().with_sink(sink.clone());
 
     session.submit(&small_spec()).expect("scoped job runs");
@@ -160,7 +160,7 @@ fn private_caches_isolate_engines() {
     first.submit(&small_spec()).expect("first engine runs");
 
     let second = Engine::builder().caches(Caches::private()).build();
-    let sink = Arc::new(MemorySink::new());
+    let sink = Arc::new(MetricsRegistry::new());
     second
         .session()
         .with_sink(sink.clone())

@@ -9,7 +9,7 @@
 use lsopc_core::{CancelToken, RunControl, StopReason};
 use lsopc_engine::{Caches, Engine, JobSpec, Tiling};
 use lsopc_grid::Grid;
-use lsopc_trace::{Event, MemorySink, TraceSink};
+use lsopc_trace::{Event, MetricsRegistry, TraceSink};
 use std::sync::{Arc, Barrier};
 
 const CLIENTS: usize = 3;
@@ -59,10 +59,10 @@ fn concurrent_sessions_cancellations_and_nested_scopes() {
         move || {
             for round in 0..4 {
                 barrier.wait();
-                let outer = Arc::new(MemorySink::new());
+                let outer = Arc::new(MetricsRegistry::new());
                 lsopc_trace::with_scoped_sink(outer.clone(), || {
                     lsopc_trace::count("stress.round", 1);
-                    let session = engine.session().with_sink(Arc::new(MemorySink::new()));
+                    let session = engine.session().with_sink(Arc::new(MetricsRegistry::new()));
                     for (spec, reference) in &jobs {
                         let outcome = session.submit(spec).expect("uncancelled job runs");
                         assert_eq!(outcome.stopped, None, "client {id}");

@@ -457,7 +457,7 @@ mod tests {
     #[test]
     fn fanned_out_jobs_emit_occupancy_gauges() {
         let pool = ThreadPool::new(4);
-        let sink = Arc::new(lsopc_trace::MemorySink::new());
+        let sink = Arc::new(lsopc_trace::MetricsRegistry::new());
         lsopc_trace::with_scoped_sink(sink.clone(), || {
             pool.execute(64, usize::MAX, &|_| {
                 std::thread::sleep(std::time::Duration::from_micros(50));
@@ -484,7 +484,7 @@ mod tests {
     #[test]
     fn inline_jobs_emit_no_job_gauges() {
         let pool = ThreadPool::new(1);
-        let sink = Arc::new(lsopc_trace::MemorySink::new());
+        let sink = Arc::new(lsopc_trace::MetricsRegistry::new());
         lsopc_trace::with_scoped_sink(sink.clone(), || {
             pool.execute(8, usize::MAX, &|_| {});
         });

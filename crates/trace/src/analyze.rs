@@ -1,61 +1,20 @@
 //! Offline analyzer for schema-v1 JSONL traces.
 //!
 //! Ingests the event stream a [`JsonlSink`](crate::JsonlSink) wrote
-//! (`lsopc … --trace run.jsonl`) and aggregates it into the report the
-//! `lsopc analyze` subcommand prints: a span tree with self/total time
-//! and latency percentiles (via [`Histogram`]), counter totals, cache
-//! hit ratios, a convergence-curve summary, and flagged anomalies.
+//! (`lsopc … --trace run.jsonl`) by replaying each line into a
+//! [`MetricsRegistry`], so the span tree (self/total time, latency
+//! percentiles), counter totals and cache hit ratios are the same
+//! [`Report`] a live registry gives. On top of it the analyzer adds
+//! only a convergence-curve summary, the stop reason and anomaly flags
+//! — the report the `lsopc analyze` subcommand prints.
 //!
 //! Parsing is tolerant by design: the stream may be truncated mid-run
 //! (that is precisely when post-mortem analysis matters), so malformed
 //! or foreign lines are counted and skipped, never fatal. Only a stream
 //! with *zero* recognizable events is an error.
 
-use crate::histogram::Histogram;
-use std::collections::BTreeMap;
+use crate::{IterRecord, MetricsRegistry, Report};
 use std::fmt::Write as _;
-
-/// Aggregated timing and percentiles for one span path.
-#[derive(Clone, Debug)]
-pub struct SpanAnalysis {
-    /// Full `/`-joined hierarchical path.
-    pub path: String,
-    /// Number of times the span closed.
-    pub calls: u64,
-    /// Total wall-clock nanoseconds across all calls.
-    pub total_ns: u64,
-    /// Total minus summed direct-children totals, clamped at 0.
-    pub self_ns: u64,
-    /// Median call duration (histogram upper bound, ≤ 6.25% high).
-    pub p50_ns: u64,
-    /// 90th-percentile call duration.
-    pub p90_ns: u64,
-    /// 99th-percentile call duration.
-    pub p99_ns: u64,
-}
-
-/// Hit/miss totals for one cache family (`cache.<family>.hit/miss`).
-#[derive(Clone, Debug)]
-pub struct CacheRatio {
-    /// Family name, e.g. `spectra`, `plan`, `warmstart`.
-    pub family: String,
-    /// Hits observed.
-    pub hits: u64,
-    /// Misses observed.
-    pub misses: u64,
-}
-
-impl CacheRatio {
-    /// Hit fraction in `[0, 1]`; 0 when the family saw no traffic.
-    pub fn ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
 
 /// Convergence-curve summary built from the `iter` events.
 #[derive(Clone, Debug)]
@@ -79,18 +38,11 @@ pub struct TraceReport {
     pub events: usize,
     /// Unparseable or foreign lines skipped.
     pub skipped: usize,
-    /// Span analyses sorted by path (parents precede children).
-    pub spans: Vec<SpanAnalysis>,
-    /// Counter totals.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge last-values.
-    pub gauges: BTreeMap<String, f64>,
-    /// Cache families with any traffic.
-    pub cache_ratios: Vec<CacheRatio>,
+    /// The replayed events' aggregate: spans (sorted by path, parents
+    /// before children), counters, gauges, caches, iterations, warnings.
+    pub report: Report,
     /// Convergence summary, when the trace holds iteration events.
     pub convergence: Option<Convergence>,
-    /// Warnings captured in the stream, `(origin, message)`.
-    pub warnings: Vec<(String, String)>,
     /// Early-stop reason derived from `run.stop.*` counters, if any.
     pub stop_reason: Option<String>,
     /// Human-readable anomaly flags (empty = nothing suspicious).
@@ -112,136 +64,75 @@ pub const CACHE_MIN_RATIO: f64 = 0.5;
 /// and malformed lines (counted in [`TraceReport::skipped`]); errors
 /// only when no recognizable event survives.
 pub fn analyze(text: &str) -> Result<TraceReport, String> {
-    let mut spans: BTreeMap<String, (u64, u64, Histogram)> = BTreeMap::new();
-    let mut report = TraceReport::default();
-    let mut iters: Vec<(f64, bool)> = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let parsed = (|| -> Option<()> {
-            match str_field(line, "kind")?.as_str() {
-                "span" => {
-                    let path = str_field(line, "path")?;
-                    let dur_ns = u64_field(line, "dur_ns")?;
-                    let entry = spans
-                        .entry(path)
-                        .or_insert_with(|| (0, 0, Histogram::new()));
-                    entry.0 += 1;
-                    entry.1 += dur_ns;
-                    entry.2.record(dur_ns);
-                }
-                "count" => {
-                    let name = str_field(line, "name")?;
-                    let delta = u64_field(line, "delta")?;
-                    *report.counters.entry(name).or_insert(0) += delta;
-                }
-                "gauge" => {
-                    let name = str_field(line, "name")?;
-                    let value = f64_field(line, "value")?;
-                    report.gauges.insert(name, value);
-                }
-                "warn" => {
-                    report
-                        .warnings
-                        .push((str_field(line, "origin")?, str_field(line, "message")?));
-                }
-                "iter" => {
-                    let cost = f64_field(line, "cost_total")?;
-                    let rolled = bool_field(line, "rolled_back").unwrap_or(false);
-                    iters.push((cost, rolled));
-                }
-                _ => return None,
-            }
-            Some(())
-        })();
-        match parsed {
-            Some(()) => report.events += 1,
-            None => report.skipped += 1,
+    let registry = MetricsRegistry::new();
+    let (mut events, mut skipped) = (0, 0);
+    for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+        match replay(&registry, line) {
+            Some(()) => events += 1,
+            None => skipped += 1,
         }
     }
-    if report.events == 0 {
+    if events == 0 {
         return Err(format!(
-            "no schema-v1 trace events found ({} unrecognized lines)",
-            report.skipped
+            "no schema-v1 trace events found ({skipped} unrecognized lines)"
         ));
     }
-
-    // Self time: total − Σ direct children, clamped at 0 (children on
-    // pool workers can overlap the parent) — same rule as MemorySink.
-    let totals: BTreeMap<&str, u64> = spans.iter().map(|(p, v)| (p.as_str(), v.1)).collect();
-    let mut child_sums: BTreeMap<String, u64> = BTreeMap::new();
-    for (path, (_, total, _)) in &spans {
-        if let Some(idx) = path.rfind('/') {
-            let parent = &path[..idx];
-            if totals.contains_key(parent) {
-                *child_sums.entry(parent.to_string()).or_insert(0) += total;
-            }
-        }
-    }
-    report.spans = spans
-        .into_iter()
-        .map(|(path, (calls, total_ns, hist))| {
-            let children = child_sums.get(&path).copied().unwrap_or(0);
-            SpanAnalysis {
-                self_ns: total_ns.saturating_sub(children),
-                p50_ns: hist.quantile(0.50),
-                p90_ns: hist.quantile(0.90),
-                p99_ns: hist.quantile(0.99),
-                path,
-                calls,
-                total_ns,
-            }
-        })
-        .collect();
-
-    // Cache families: counters shaped `cache.<family>.hit|miss`.
-    let mut families: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for (name, total) in &report.counters {
-        if let Some(rest) = name.strip_prefix("cache.") {
-            if let Some(family) = rest.strip_suffix(".hit") {
-                families.entry(family.to_string()).or_insert((0, 0)).0 += total;
-            } else if let Some(family) = rest.strip_suffix(".miss") {
-                families.entry(family.to_string()).or_insert((0, 0)).1 += total;
-            }
-        }
-    }
-    report.cache_ratios = families
-        .into_iter()
-        .map(|(family, (hits, misses))| CacheRatio {
-            family,
-            hits,
-            misses,
-        })
-        .collect();
-
-    if !iters.is_empty() {
-        let rollbacks = iters.iter().filter(|(_, r)| *r).count() as u64;
-        let best_delta = iters
+    let report = registry.report();
+    let iters = &report.iterations;
+    let convergence = (!iters.is_empty()).then(|| Convergence {
+        iterations: iters.len(),
+        first_cost: iters[0].cost_total,
+        last_cost: iters[iters.len() - 1].cost_total,
+        best_delta: iters
             .windows(2)
-            .map(|w| w[0].0 - w[1].0)
-            .fold(0.0f64, f64::max);
-        report.convergence = Some(Convergence {
-            iterations: iters.len(),
-            first_cost: iters[0].0,
-            last_cost: iters[iters.len() - 1].0,
-            best_delta,
-            rollbacks,
-        });
-    }
-
-    report.stop_reason = report
+            .map(|w| w[0].cost_total - w[1].cost_total)
+            .fold(0.0f64, f64::max),
+        rollbacks: iters.iter().filter(|r| r.rolled_back).count() as u64,
+    });
+    let stop_reason = report
         .counters
         .iter()
         .find(|(name, &total)| name.starts_with("run.stop.") && total > 0)
         .map(|(name, _)| name["run.stop.".len()..].to_string());
-
-    report.anomalies = find_anomalies(&report);
-    Ok(report)
+    let mut out = TraceReport {
+        events,
+        skipped,
+        report,
+        convergence,
+        stop_reason,
+        anomalies: Vec::new(),
+    };
+    out.anomalies = find_anomalies(&out);
+    Ok(out)
 }
 
-fn find_anomalies(report: &TraceReport) -> Vec<String> {
+/// Feeds one JSONL line to `registry` through the same recording calls
+/// a live [`TraceSink::event`](crate::TraceSink::event) makes; `None`
+/// when the line is not a complete schema-v1 event.
+fn replay(registry: &MetricsRegistry, line: &str) -> Option<()> {
+    match str_field(line, "kind")?.as_str() {
+        "span" => registry.record_span(&str_field(line, "path")?, u64_field(line, "dur_ns")?),
+        "count" => registry.add_count(&str_field(line, "name")?, u64_field(line, "delta")?),
+        "gauge" => registry.set_gauge(&str_field(line, "name")?, f64_field(line, "value")?),
+        "warn" => registry.push_warn(&str_field(line, "origin")?, &str_field(line, "message")?),
+        "iter" => registry.push_iter(&IterRecord {
+            iteration: u64_field(line, "iteration")? as usize,
+            cost_total: f64_field(line, "cost_total")?,
+            cost_nominal: f64_field(line, "cost_nominal")?,
+            cost_pvb: f64_field(line, "cost_pvb")?,
+            lambda_scale: f64_field(line, "lambda_scale")?,
+            beta: f64_field(line, "beta")?,
+            time_step: f64_field(line, "time_step")?,
+            max_velocity: f64_field(line, "max_velocity")?,
+            rolled_back: bool_field(line, "rolled_back")?,
+        }),
+        _ => return None,
+    }
+    Some(())
+}
+
+fn find_anomalies(trace: &TraceReport) -> Vec<String> {
+    let report = &trace.report;
     let mut out = Vec::new();
     let rollbacks = report.counters.get("guard.rollback").copied().unwrap_or(0);
     if rollbacks > 0 {
@@ -264,17 +155,16 @@ fn find_anomalies(report: &TraceReport) -> Vec<String> {
             ));
         }
     }
-    for cache in &report.cache_ratios {
+    for (family, cache) in &report.caches {
         let traffic = cache.hits + cache.misses;
         if traffic >= CACHE_MIN_TRAFFIC && cache.ratio() < CACHE_MIN_RATIO {
             out.push(format!(
-                "cache `{}` hit ratio collapsed: {:.0}% over {traffic} accesses",
-                cache.family,
+                "cache `{family}` hit ratio collapsed: {:.0}% over {traffic} accesses",
                 cache.ratio() * 100.0
             ));
         }
     }
-    if let Some(reason) = &report.stop_reason {
+    if let Some(reason) = &trace.stop_reason {
         out.push(format!("run stopped early: {reason}"));
     }
     out
@@ -291,8 +181,9 @@ impl TraceReport {
             "events: {} parsed, {} skipped",
             self.events, self.skipped
         );
-        if !self.spans.is_empty() {
-            let width = self
+        let report = &self.report;
+        if !report.spans.is_empty() {
+            let width = report
                 .spans
                 .iter()
                 .map(|s| s.path.len() + 2 * depth(&s.path))
@@ -304,7 +195,7 @@ impl TraceReport {
                 "\n{:<width$}  {:>7}  {:>11}  {:>11}  {:>10}  {:>10}  {:>10}",
                 "span", "calls", "self (ms)", "total (ms)", "p50 (ms)", "p90 (ms)", "p99 (ms)"
             );
-            for span in &self.spans {
+            for span in &report.spans {
                 let indent = "  ".repeat(depth(&span.path));
                 let label = format!("{indent}{}", span.path);
                 let _ = writeln!(
@@ -319,22 +210,22 @@ impl TraceReport {
                 );
             }
         }
-        if !self.cache_ratios.is_empty() {
+        if !report.caches.is_empty() {
             let _ = writeln!(out, "\ncaches:");
-            for cache in &self.cache_ratios {
+            for (family, cache) in &report.caches {
                 let _ = writeln!(
                     out,
                     "  {:<16} {:>8} hits  {:>8} misses  {:>6.1}% hit",
-                    cache.family,
+                    family,
                     cache.hits,
                     cache.misses,
                     cache.ratio() * 100.0
                 );
             }
         }
-        if !self.counters.is_empty() {
+        if !report.counters.is_empty() {
             let _ = writeln!(out, "\ncounters:");
-            for (name, total) in &self.counters {
+            for (name, total) in &report.counters {
                 let _ = writeln!(out, "  {name:<40} {total:>12}");
             }
         }
@@ -358,9 +249,9 @@ impl TraceReport {
                 .as_deref()
                 .unwrap_or("none (ran to completion)")
         );
-        if !self.warnings.is_empty() {
+        if !report.warnings.is_empty() {
             let _ = writeln!(out, "\nwarnings:");
-            for (origin, message) in &self.warnings {
+            for (origin, message) in &report.warnings {
                 let _ = writeln!(out, "  [{origin}] {message}");
             }
         }
@@ -464,6 +355,7 @@ mod tests {
         assert_eq!(report.events, 12);
         assert_eq!(report.skipped, 0);
         let forward = report
+            .report
             .spans
             .iter()
             .find(|s| s.path == "optimize/litho/forward")
@@ -471,25 +363,28 @@ mod tests {
         assert_eq!(forward.calls, 3);
         assert_eq!(forward.total_ns, 3003);
         let litho = report
+            .report
             .spans
             .iter()
             .find(|s| s.path == "optimize/litho")
             .unwrap();
         assert_eq!(litho.self_ns, 5000 - 3003);
-        assert_eq!(report.counters.get("cache.spectra.hit"), Some(&30));
-        let spectra = report
-            .cache_ratios
-            .iter()
-            .find(|c| c.family == "spectra")
-            .unwrap();
+        assert_eq!(report.report.counters.get("cache.spectra.hit"), Some(&30));
+        let spectra = report.report.caches["spectra"];
         assert_eq!((spectra.hits, spectra.misses), (30, 2));
+        // The registry synthesizes the same counters from iteration and
+        // warning events as it does live.
+        assert_eq!(report.report.counters.get("iter.count"), Some(&2));
+        assert_eq!(report.report.counters.get("iter.rollbacks"), Some(&1));
+        assert_eq!(report.report.counters.get("warnings"), Some(&1));
+        assert_eq!(report.report.iterations[1].cost_nominal, 6.0);
         let conv = report.convergence.as_ref().unwrap();
         assert_eq!(conv.iterations, 2);
         assert_eq!(conv.first_cost, 10.0);
         assert_eq!(conv.last_cost, 7.5);
         assert_eq!(conv.rollbacks, 1);
-        assert_eq!(report.warnings.len(), 1);
-        assert_eq!(report.warnings[0].1, "cost rose \"sharply\"");
+        assert_eq!(report.report.warnings.len(), 1);
+        assert_eq!(report.report.warnings[0].1, "cost rose \"sharply\"");
         assert!(report
             .anomalies
             .iter()

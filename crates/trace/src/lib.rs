@@ -40,13 +40,13 @@
 pub mod analyze;
 mod histogram;
 mod jsonl;
-mod memory;
 mod registry;
+mod report;
 
 pub use histogram::{Histogram, NUM_BUCKETS, RELATIVE_ERROR_BOUND};
 pub use jsonl::JsonlSink;
-pub use memory::{MemorySink, ProfileReport, SpanStat};
 pub use registry::MetricsRegistry;
+pub use report::{CacheStats, Report, SpanSummary};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -138,8 +138,8 @@ pub trait TraceSink: Send + Sync {
 }
 
 /// Broadcasts every event to each inner sink in order. Lets `--trace`
-/// (JSONL stream) and `--metrics` (in-memory aggregate) run in the same
-/// process off a single instrumentation pass.
+/// (JSONL stream) and `--metrics` (the [`MetricsRegistry`] aggregate)
+/// run in the same process off a single instrumentation pass.
 pub struct FanoutSink {
     sinks: Vec<Arc<dyn TraceSink>>,
 }
@@ -514,9 +514,9 @@ mod tests {
     /// Serializes tests that touch the process-global sink.
     static GLOBAL: Mutex<()> = Mutex::new(());
 
-    fn with_memory_sink(f: impl FnOnce()) -> Arc<MemorySink> {
+    fn with_registry(f: impl FnOnce()) -> Arc<MetricsRegistry> {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        let sink = Arc::new(MemorySink::new());
+        let sink = Arc::new(MetricsRegistry::new());
         install(sink.clone());
         f();
         uninstall();
@@ -535,7 +535,7 @@ mod tests {
 
     #[test]
     fn nested_spans_produce_hierarchical_paths() {
-        let sink = with_memory_sink(|| {
+        let sink = with_registry(|| {
             let _outer = span!("outer");
             {
                 let _inner = span!("inner");
@@ -549,7 +549,7 @@ mod tests {
 
     #[test]
     fn repeated_spans_aggregate_counts() {
-        let sink = with_memory_sink(|| {
+        let sink = with_registry(|| {
             for _ in 0..5 {
                 let _span = span!("work");
             }
@@ -561,7 +561,7 @@ mod tests {
 
     #[test]
     fn base_path_roots_worker_spans() {
-        let sink = with_memory_sink(|| {
+        let sink = with_registry(|| {
             {
                 let _outer = span!("submit");
             }
@@ -589,7 +589,7 @@ mod tests {
     #[test]
     fn base_path_restored_after_scope() {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        install(Arc::new(MemorySink::new()));
+        install(Arc::new(MetricsRegistry::new()));
         with_base_path(Some(Arc::from("root")), || {
             with_base_path(Some(Arc::from("deeper")), || {
                 let _span = span!("x");
@@ -604,7 +604,7 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_aggregate() {
-        let sink = with_memory_sink(|| {
+        let sink = with_registry(|| {
             count("cache.hit", 1);
             count("cache.hit", 2);
             gauge("threads", 4.0);
@@ -617,10 +617,10 @@ mod tests {
 
     #[test]
     fn warn_routes_to_sink_when_installed() {
-        let sink = with_memory_sink(|| {
+        let sink = with_registry(|| {
             warn("parallel", "requested 0 threads");
         });
-        let warns = sink.warnings();
+        let warns = sink.report().warnings;
         assert_eq!(warns.len(), 1);
         assert_eq!(
             warns[0],
@@ -630,7 +630,7 @@ mod tests {
 
     #[test]
     fn iter_records_collect_in_order() {
-        let sink = with_memory_sink(|| {
+        let sink = with_registry(|| {
             for i in 0..3 {
                 iter(&IterRecord {
                     iteration: i,
@@ -645,7 +645,7 @@ mod tests {
                 });
             }
         });
-        let iters = sink.iterations();
+        let iters = sink.report().iterations;
         assert_eq!(iters.len(), 3);
         assert_eq!(iters[2].iteration, 2);
         assert_eq!(iters[0].cost_total, 10.0);
@@ -653,8 +653,8 @@ mod tests {
 
     #[test]
     fn fanout_reaches_all_sinks() {
-        let a = Arc::new(MemorySink::new());
-        let b = Arc::new(MemorySink::new());
+        let a = Arc::new(MetricsRegistry::new());
+        let b = Arc::new(MetricsRegistry::new());
         let fanout = FanoutSink::new(vec![a.clone(), b.clone()]);
         fanout.event(&Event::Count {
             name: "n",
@@ -668,7 +668,7 @@ mod tests {
     fn scoped_sink_captures_without_global_install() {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         uninstall();
-        let sink = Arc::new(MemorySink::new());
+        let sink = Arc::new(MetricsRegistry::new());
         with_scoped_sink(sink.clone(), || {
             assert!(enabled());
             let _span = span!("scoped");
@@ -683,8 +683,8 @@ mod tests {
 
     #[test]
     fn scoped_and_global_sinks_both_receive() {
-        let scoped = Arc::new(MemorySink::new());
-        let global = with_memory_sink(|| {
+        let scoped = Arc::new(MetricsRegistry::new());
+        let global = with_registry(|| {
             with_scoped_sink(scoped.clone(), || {
                 count("both", 1);
             });
@@ -700,8 +700,8 @@ mod tests {
     fn scoped_sinks_isolate_concurrent_threads() {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         uninstall();
-        let a = Arc::new(MemorySink::new());
-        let b = Arc::new(MemorySink::new());
+        let a = Arc::new(MetricsRegistry::new());
+        let b = Arc::new(MetricsRegistry::new());
         std::thread::scope(|scope| {
             let (a, b) = (a.clone(), b.clone());
             scope.spawn(move || {
@@ -725,7 +725,7 @@ mod tests {
     fn task_scope_carries_sink_and_path_to_workers() {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         uninstall();
-        let sink = Arc::new(MemorySink::new());
+        let sink = Arc::new(MetricsRegistry::new());
         with_scoped_sink(sink.clone(), || {
             let _outer = span!("submit");
             let scope = task_scope();
@@ -747,8 +747,8 @@ mod tests {
     fn layered_scope_reaches_both_sinks() {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         uninstall();
-        let outer = Arc::new(MemorySink::new());
-        let inner = Arc::new(MemorySink::new());
+        let outer = Arc::new(MetricsRegistry::new());
+        let inner = Arc::new(MetricsRegistry::new());
         with_scoped_sink(outer.clone(), || {
             with_layered_scoped_sink(inner.clone(), || count("layered", 1));
             count("outer.only", 1);
@@ -766,7 +766,7 @@ mod tests {
     fn layered_scope_without_enclosing_scope_is_plain() {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         uninstall();
-        let sink = Arc::new(MemorySink::new());
+        let sink = Arc::new(MetricsRegistry::new());
         with_layered_scoped_sink(sink.clone(), || count("solo", 1));
         assert_eq!(sink.report().counters.get("solo"), Some(&1));
         assert!(!enabled());
@@ -776,8 +776,8 @@ mod tests {
     fn scoped_sink_restored_after_nested_scope() {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         uninstall();
-        let outer = Arc::new(MemorySink::new());
-        let inner = Arc::new(MemorySink::new());
+        let outer = Arc::new(MetricsRegistry::new());
+        let inner = Arc::new(MetricsRegistry::new());
         with_scoped_sink(outer.clone(), || {
             with_scoped_sink(inner.clone(), || count("nested", 1));
             count("outer.after", 1);

@@ -1,20 +1,25 @@
-//! Registry sink: aggregates the event stream into per-path latency
-//! histograms, counter totals, and gauge last-values — the scrapeable
-//! metrics substrate for `lsopc serve` and the source of per-job
-//! [`JobMetrics`](crate) summaries in `lsopc-engine`.
+//! Registry sink: the one aggregator of the event stream. It keeps
+//! per-path latency histograms, counter totals, gauge last-values, and
+//! the iteration records and warnings in arrival order.
+//! [`MetricsRegistry::report`] snapshots them into the [`Report`] behind
+//! `lsopc profile`, `--metrics`, the engine's per-job `JobMetrics` and
+//! `lsopc analyze`; [`MetricsRegistry::render_prometheus`] renders the
+//! Prometheus text that `lsopc-engine`'s `Session::exposition` returns.
 
 use crate::histogram::Histogram;
-use crate::{Event, TraceSink};
+use crate::report::{CacheStats, Report, SpanSummary};
+use crate::{Event, IterRecord, TraceSink};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Aggregates spans into one [`Histogram`] per span path, counters into
-/// atomic totals, and gauges into last-value slots. Composes with
-/// `MemorySink`/`JsonlSink` via [`FanoutSink`](crate::FanoutSink) or a
-/// scoped-sink layer, and renders as Prometheus text exposition.
+/// atomic totals, and gauges into last-value slots, and keeps every
+/// iteration record and warning. Composes with a
+/// [`JsonlSink`](crate::JsonlSink) via [`FanoutSink`](crate::FanoutSink)
+/// or a scoped-sink layer.
 ///
-/// Iteration events fold into the same vocabulary: gauges
+/// Iteration events also fold into the counter/gauge vocabulary: gauges
 /// `iter.cost_total`, `iter.cost_nominal`, `iter.cost_pvb`,
 /// `iter.lambda_scale` (last value wins) and counters `iter.count` /
 /// `iter.rollbacks`. Warnings count under `warnings`.
@@ -22,12 +27,15 @@ use std::sync::{Arc, RwLock};
 /// Locking: the maps take a read lock per event on the steady state
 /// (write lock only the first time a path/name appears); the values are
 /// `Arc<Histogram>` / `Arc<AtomicU64>`, so recording itself is
-/// lock-free. Gauges take the write lock (rare events).
+/// lock-free. Gauges, iteration records and warnings take a lock (rare
+/// events).
 #[derive(Default)]
 pub struct MetricsRegistry {
     spans: RwLock<BTreeMap<String, Arc<Histogram>>>,
     counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: RwLock<BTreeMap<String, f64>>,
+    iterations: Mutex<Vec<IterRecord>>,
+    warnings: Mutex<Vec<(String, String)>>,
 }
 
 impl MetricsRegistry {
@@ -86,17 +94,7 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Total of counter `name` (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-
-    /// All counter totals, sorted by name.
-    pub fn counters(&self) -> BTreeMap<String, u64> {
+    fn counters(&self) -> BTreeMap<String, u64> {
         self.counters
             .read()
             .unwrap_or_else(|e| e.into_inner())
@@ -105,45 +103,114 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Last sampled value of gauge `name`.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-            .copied()
-    }
-
-    /// All gauge last-values, sorted by name.
-    pub fn gauges(&self) -> BTreeMap<String, f64> {
+    fn gauges(&self) -> BTreeMap<String, f64> {
         self.gauges
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .clone()
     }
 
-    /// Folds every series of `other` into `self` (histogram merge for
-    /// spans, add for counters, last-write-wins for gauges). Lets a
-    /// per-job registry roll up into a process-lifetime one.
-    pub fn absorb(&self, other: &MetricsRegistry) {
-        for (path, hist) in other.spans.read().unwrap_or_else(|e| e.into_inner()).iter() {
-            self.span_hist(path).merge(hist);
-        }
-        for (name, cell) in other
-            .counters
-            .read()
+    pub(crate) fn record_span(&self, path: &str, dur_ns: u64) {
+        self.span_hist(path).record(dur_ns);
+    }
+
+    pub(crate) fn add_count(&self, name: &str, delta: u64) {
+        self.counter_cell(name).fetch_add(delta, Ordering::Relaxed);
+    }
+
+    pub(crate) fn set_gauge(&self, name: &str, value: f64) {
+        self.gauges
+            .write()
             .unwrap_or_else(|e| e.into_inner())
-            .iter()
+            .insert(name.to_string(), value);
+    }
+
+    pub(crate) fn push_warn(&self, origin: &str, message: &str) {
+        self.add_count("warnings", 1);
+        self.warnings
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push((origin.to_string(), message.to_string()));
+    }
+
+    pub(crate) fn push_iter(&self, rec: &IterRecord) {
+        self.add_count("iter.count", 1);
+        if rec.rolled_back {
+            self.add_count("iter.rollbacks", 1);
+        }
         {
-            let n = cell.load(Ordering::Relaxed);
-            if n > 0 {
-                self.counter_cell(name).fetch_add(n, Ordering::Relaxed);
+            let mut gauges = self.gauges.write().unwrap_or_else(|e| e.into_inner());
+            gauges.insert("iter.cost_total".to_string(), rec.cost_total);
+            gauges.insert("iter.cost_nominal".to_string(), rec.cost_nominal);
+            gauges.insert("iter.cost_pvb".to_string(), rec.cost_pvb);
+            gauges.insert("iter.lambda_scale".to_string(), rec.lambda_scale);
+        }
+        self.iterations
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(rec.clone());
+    }
+
+    /// Snapshot of everything aggregated so far: one [`SpanSummary`]
+    /// row per span path, counters, gauges, cache families, and the
+    /// iteration records and warnings in arrival order.
+    pub fn report(&self) -> Report {
+        let spans = self.spans.read().unwrap_or_else(|e| e.into_inner());
+        // Self time = total − Σ direct children, clamped at 0 (children
+        // running concurrently on pool workers can overlap the parent).
+        let mut child_sums: BTreeMap<&str, u64> = BTreeMap::new();
+        for (path, hist) in spans.iter() {
+            if let Some((parent, _)) = path.rsplit_once('/') {
+                if spans.contains_key(parent) {
+                    *child_sums.entry(parent).or_insert(0) += hist.sum();
+                }
             }
         }
-        let theirs = other.gauges.read().unwrap_or_else(|e| e.into_inner());
-        let mut mine = self.gauges.write().unwrap_or_else(|e| e.into_inner());
-        for (name, value) in theirs.iter() {
-            mine.insert(name.clone(), *value);
+        let rows = spans
+            .iter()
+            .map(|(path, hist)| {
+                let total_ns = hist.sum();
+                let children = child_sums.get(path.as_str()).copied().unwrap_or(0);
+                SpanSummary {
+                    path: path.clone(),
+                    calls: hist.count(),
+                    total_ns,
+                    self_ns: total_ns.saturating_sub(children),
+                    p50_ns: hist.quantile(0.50),
+                    p90_ns: hist.quantile(0.90),
+                    p99_ns: hist.quantile(0.99),
+                }
+            })
+            .collect();
+        drop(spans);
+        let counters = self.counters();
+        // Cache families: counters shaped `cache.<family>.hit|miss`.
+        let mut caches: BTreeMap<String, CacheStats> = BTreeMap::new();
+        for (name, &total) in &counters {
+            let Some(rest) = name.strip_prefix("cache.") else {
+                continue;
+            };
+            if let Some(family) = rest.strip_suffix(".hit") {
+                caches.entry(family.to_string()).or_default().hits += total;
+            } else if let Some(family) = rest.strip_suffix(".miss") {
+                caches.entry(family.to_string()).or_default().misses += total;
+            }
+        }
+        Report {
+            spans: rows,
+            counters,
+            gauges: self.gauges(),
+            caches,
+            iterations: self
+                .iterations
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .clone(),
+            warnings: self
+                .warnings
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .clone(),
         }
     }
 
@@ -242,35 +309,11 @@ fn prom_f64(value: f64) -> String {
 impl TraceSink for MetricsRegistry {
     fn event(&self, event: &Event<'_>) {
         match event {
-            Event::Span { path, dur_ns, .. } => {
-                self.span_hist(path).record(*dur_ns);
-            }
-            Event::Count { name, delta } => {
-                self.counter_cell(name).fetch_add(*delta, Ordering::Relaxed);
-            }
-            Event::Gauge { name, value } => {
-                self.gauges
-                    .write()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert((*name).to_string(), *value);
-            }
-            Event::Warn { .. } => {
-                self.counter_cell("warnings")
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Event::Iter(rec) => {
-                self.counter_cell("iter.count")
-                    .fetch_add(1, Ordering::Relaxed);
-                if rec.rolled_back {
-                    self.counter_cell("iter.rollbacks")
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                let mut gauges = self.gauges.write().unwrap_or_else(|e| e.into_inner());
-                gauges.insert("iter.cost_total".to_string(), rec.cost_total);
-                gauges.insert("iter.cost_nominal".to_string(), rec.cost_nominal);
-                gauges.insert("iter.cost_pvb".to_string(), rec.cost_pvb);
-                gauges.insert("iter.lambda_scale".to_string(), rec.lambda_scale);
-            }
+            Event::Span { path, dur_ns, .. } => self.record_span(path, *dur_ns),
+            Event::Count { name, delta } => self.add_count(name, *delta),
+            Event::Gauge { name, value } => self.set_gauge(name, *value),
+            Event::Warn { origin, message } => self.push_warn(origin, message),
+            Event::Iter(rec) => self.push_iter(rec),
         }
     }
 }
@@ -328,27 +371,17 @@ mod tests {
             max_velocity: 1.0,
             rolled_back: true,
         }));
-        assert_eq!(reg.counter("cache.hit"), 3);
-        assert_eq!(reg.counter("warnings"), 1);
-        assert_eq!(reg.counter("iter.count"), 1);
-        assert_eq!(reg.counter("iter.rollbacks"), 1);
-        assert_eq!(reg.gauge("pool.threads"), Some(4.0));
-        assert_eq!(reg.gauge("iter.cost_total"), Some(9.0));
-    }
-
-    #[test]
-    fn absorb_rolls_one_registry_into_another() {
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        a.event(&span("x", 10));
-        b.event(&span("x", 20));
-        b.event(&Event::Count {
-            name: "n",
-            delta: 2,
-        });
-        a.absorb(&b);
-        assert_eq!(a.span_histogram("x").unwrap().count(), 2);
-        assert_eq!(a.counter("n"), 2);
+        let report = reg.report();
+        assert_eq!(report.counters["cache.hit"], 3);
+        assert_eq!(report.counters["warnings"], 1);
+        assert_eq!(report.counters["iter.count"], 1);
+        assert_eq!(report.counters["iter.rollbacks"], 1);
+        assert_eq!(report.gauges["pool.threads"], 4.0);
+        assert_eq!(report.gauges["iter.cost_total"], 9.0);
+        // The records themselves are kept too, in arrival order.
+        assert_eq!(report.iterations.len(), 1);
+        assert_eq!(report.iterations[0].cost_nominal, 7.0);
+        assert_eq!(report.warnings, [("t".to_string(), "m".to_string())]);
     }
 
     #[test]

@@ -80,15 +80,17 @@ LSOPC_THREADS=4 cargo test -q -p lsopc-core --features fault-injection --test pr
 echo "==> resume bench smoke (checkpoint overhead pipeline runs)"
 cargo bench -p lsopc-bench --bench resume -- --test
 
-echo "==> engine suite (cache amortization + concurrent sessions)"
+echo "==> engine suite (cache amortization + concurrent sessions + one telemetry story)"
 # The headless engine must amortize its shared caches across sequential
 # jobs and keep concurrent sessions bit-identical with separated scoped
 # trace streams, at both pool sizes. The stress binary (run at one
 # lane by the package-wide line) repeats concurrent flat/tiled sessions
 # with mid-run cancellations and nested scoped sinks, then checks every
-# scope closed.
+# scope closed. The telemetry binary checks that JobMetrics, a session
+# registry's report, the exposition and `analyze` of the run's JSONL
+# agree exactly on spans and counters.
 LSOPC_THREADS=1 cargo test -q -p lsopc-engine
-LSOPC_THREADS=4 cargo test -q -p lsopc-engine --test engine --test stress
+LSOPC_THREADS=4 cargo test -q -p lsopc-engine --test engine --test stress --test telemetry
 
 echo "==> trace suite (overhead + determinism at both pool sizes)"
 # The trace layer must only observe: tracing on leaves the optimizer
